@@ -3,9 +3,18 @@
 States are dense density matrices over per-mode number bases; entropies
 are computed by spectral calculus with no Gaussian formulas involved, so
 results can be compared against the closed-form path independently.
+
+Thermal products are diagonal, two-mode squeezing conserves n0 - n1 and
+every squeeze here conserves total-number parity, so the states built by
+this module have no weight between sectors of those charges.  That
+structure is read from exact zeros in rho (nothing records it): squeezes
+are applied chain by chain and spectra are taken per sector block, over
+the n0 - n1 sectors when the state respects them, over the two parity
+sectors otherwise, and on the whole matrix when it respects neither.
 """
 
 import warnings
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,29 +85,62 @@ def mode_populations(state: FockDensity) -> list:
     return out
 
 
-def _two_mode_squeeze_unitary(d0: int, d1: int, r: float) -> np.ndarray:
-    """exp(r (a0+ a1+ - a0 a1)) truncated to d0 x d1 levels.
+def _chain_exp(coup: np.ndarray) -> np.ndarray:
+    """Exponential of the antisymmetric tridiagonal generator with
+    sub-diagonal coup (super-diagonal -coup); orthogonal by construction."""
+    k = np.arange(len(coup))
+    gen = np.zeros((len(coup) + 1, len(coup) + 1))
+    gen[k + 1, k] = coup
+    gen[k, k + 1] = -coup
+    return expm(gen)
 
-    The generator conserves n0 - n1, so it splits into antisymmetric
-    tridiagonal chains; each chain exponential is orthogonal, hence the
-    assembled matrix is exactly unitary on the kept subspace.
-    """
-    u = np.zeros((d0 * d1, d0 * d1))
+
+@lru_cache(maxsize=None)
+def _two_mode_chains(d0: int, d1: int) -> tuple:
+    """(flat indices, sqrt couplings) of each n0 - n1 sector of a d0 x d1
+    basis, indices ordered along the sector's two-mode squeeze chain."""
+    chains = []
     for diff in range(-(d1 - 1), d0):
         n0 = max(diff, 0)
         m0 = max(-diff, 0)
         length = min(d0 - n0, d1 - m0)
         idx = np.arange(length) * (d1 + 1) + n0 * d1 + m0
-        if length == 1:
-            u[idx[0], idx[0]] = 1.0
-            continue
         k = np.arange(length - 1)
-        coup = r * np.sqrt((n0 + k + 1.0) * (m0 + k + 1.0))
-        gen = np.zeros((length, length))
-        gen[k + 1, k] = coup
-        gen[k, k + 1] = -coup
-        u[np.ix_(idx, idx)] = expm(gen)
-    return u
+        coup = np.sqrt((n0 + k + 1.0) * (m0 + k + 1.0))
+        idx.flags.writeable = coup.flags.writeable = False
+        chains.append((idx, coup))
+    return tuple(chains)
+
+
+@lru_cache(maxsize=None)
+def _sector_partitions(dims: Tuple[int, ...]) -> tuple:
+    """Index partitions of the basis left invariant by the squeezes, finest
+    first: n0 - n1 sectors (two modes only), then total-number parity."""
+    parity = np.indices(dims).sum(axis=0).ravel() % 2
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    even.flags.writeable = odd.flags.writeable = False
+    if len(dims) == 2:
+        return tuple(idx for idx, _ in _two_mode_chains(*dims)), (even, odd)
+    return ((even, odd),)
+
+
+def _sector_blocks(matrix: np.ndarray, sectors: Sequence[np.ndarray]) -> Optional[list]:
+    """Diagonal blocks of matrix over sectors, or None if any entry
+    between two sectors is nonzero (the structure is read from exact
+    zeros, which every squeeze and product here preserves)."""
+    blocks = [matrix[np.ix_(idx, idx)] for idx in sectors]
+    inside = sum(np.count_nonzero(b) for b in blocks)
+    return blocks if inside == np.count_nonzero(matrix) else None
+
+
+def _sectors_of(state: FockDensity) -> Tuple[Optional[tuple], list]:
+    """(sectors, blocks) of the finest partition the state respects;
+    (None, [rho]) when it respects none."""
+    for sectors in _sector_partitions(tuple(state.dims)):
+        blocks = _sector_blocks(state.rho, sectors)
+        if blocks is not None:
+            return sectors, blocks
+    return None, [state.rho]
 
 
 def _local_squeeze_unitary(d: int, s: float) -> np.ndarray:
@@ -106,18 +148,45 @@ def _local_squeeze_unitary(d: int, s: float) -> np.ndarray:
     u = np.zeros((d, d))
     for start in (0, 1):
         idx = np.arange(start, d, 2)
-        length = len(idx)
-        if length == 1:
-            u[idx[0], idx[0]] = 1.0
-            continue
         n = idx[:-1].astype(float)
-        coup = 0.5 * s * np.sqrt((n + 1.0) * (n + 2.0))
-        gen = np.zeros((length, length))
-        k = np.arange(length - 1)
-        gen[k + 1, k] = coup
-        gen[k, k + 1] = -coup
-        u[np.ix_(idx, idx)] = expm(gen)
+        u[np.ix_(idx, idx)] = _chain_exp(0.5 * s * np.sqrt((n + 1.0) * (n + 2.0)))
     return u
+
+
+def _apply_two_mode(state: FockDensity, r: float) -> np.ndarray:
+    """u rho u^T for exp(r (a0+ a1+ - a0 a1)), one n0 - n1 chain at a time.
+
+    The generator conserves n0 - n1, so the truncated unitary is a direct
+    sum of orthogonal chain exponentials and is never assembled.  A
+    sector-diagonal rho is conjugated block by block; any other rho is
+    transformed chain-wise on its rows, then on its columns.
+    """
+    chains = [(idx, _chain_exp(r * coup)) for idx, coup in _two_mode_chains(*state.dims)]
+    blocks = _sector_blocks(state.rho, [idx for idx, _ in chains])
+    if blocks is None:
+        rho = np.array(state.rho, dtype=float)
+        for idx, u in chains:
+            rho[idx, :] = u @ rho[idx, :]
+        for idx, u in chains:
+            rho[:, idx] = rho[:, idx] @ u.T
+        return 0.5 * (rho + rho.T)
+    rho = np.zeros_like(state.rho, dtype=float)
+    for (idx, u), block in zip(chains, blocks):
+        block = u @ block @ u.T
+        rho[np.ix_(idx, idx)] = 0.5 * (block + block.T)
+    return rho
+
+
+def _apply_local(state: FockDensity, i: int, s: float) -> np.ndarray:
+    """(1 x u x 1) rho (1 x u x 1)^T with u acting on mode i's tensor axes."""
+    dims = tuple(state.dims)
+    n = len(dims)
+    u = _local_squeeze_unitary(dims[i], s)
+    t = state.rho.reshape(dims + dims)
+    t = np.moveaxis(np.tensordot(u, t, axes=(1, i)), 0, i)
+    t = np.moveaxis(np.tensordot(t, u, axes=(n + i, 1)), -1, n + i)
+    rho = t.reshape(state.rho.shape)
+    return 0.5 * (rho + rho.T)
 
 
 def fock_apply_squeeze(
@@ -149,22 +218,17 @@ def fock_apply_squeeze(
     if kind == "two_mode":
         if len(state.dims) != 2 or (modes is not None and tuple(modes) != (0, 1)):
             raise ValidationError("two_mode squeeze acts on modes (0, 1)")
-        u = _two_mode_squeeze_unitary(state.dims[0], state.dims[1], float(r))
+        rho = _apply_two_mode(state, float(r))
         touched = (0, 1)
     elif kind == "local":
         i = 0 if modes is None else int(modes)
         if not 0 <= i < len(state.dims):
             raise ValidationError("invalid mode index %r" % (modes,))
-        u = _local_squeeze_unitary(state.dims[i], float(r))
-        left = int(np.prod(state.dims[:i], dtype=int))
-        right = int(np.prod(state.dims[i + 1 :], dtype=int))
-        u = np.kron(np.kron(np.eye(left), u), np.eye(right))
+        rho = _apply_local(state, i, float(r))
         touched = (i,)
     else:
         raise ValidationError("unknown squeeze kind %r" % (kind,))
 
-    rho = u @ state.rho @ u.T
-    rho = 0.5 * (rho + rho.T)
     out = FockDensity(dims=state.dims, rho=rho, trace_deficit=state.trace_deficit)
     pops = mode_populations(out)
     for i in touched:
@@ -178,16 +242,16 @@ def fock_apply_squeeze(
 
 
 def _is_diagonal(matrix: np.ndarray) -> bool:
-    return np.count_nonzero(matrix - np.diag(np.diagonal(matrix))) == 0
+    return np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix))
 
 
-def _self_term(rho: np.ndarray) -> float:
-    """Tr rho log rho by spectral calculus (0 log 0 = 0)."""
-    if _is_diagonal(rho):
-        p = np.real(np.diagonal(rho))
+def _self_term(state: FockDensity) -> float:
+    """Tr rho log rho by spectral calculus (0 log 0 = 0), per sector."""
+    if _is_diagonal(state.rho):
+        p = np.real(np.diagonal(state.rho))
     else:
-        p = np.linalg.eigvalsh(rho)
-    if p[0] < -1e-10:
+        p = np.concatenate([np.linalg.eigvalsh(b) for b in _sectors_of(state)[1]])
+    if p.min() < -1e-10:
         raise ValidationError("matrix is not positive semidefinite")
     p = p[p > 1e-18]
     return float(np.sum(p * np.log(p)))
@@ -196,25 +260,36 @@ def _self_term(rho: np.ndarray) -> float:
 def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
     """Tr rho log rho - Tr rho log sigma on the kept subspace, in nats.
 
-    Diagonal sigma uses its exact diagonal down to underflow; dense sigma
-    is eigendecomposed and eigenvalues below 1e-14 (eigh noise level) are
-    floored before the log.  If rho puts more than 1e-7 of its mass on
-    dead/floored directions the value is divergent and +inf is returned
-    (with a warning).
+    Diagonal sigma uses its exact diagonal down to underflow; otherwise
+    sigma is eigendecomposed (per sector when it has no weight between
+    sectors; rho then enters only through its diagonal sector blocks) and
+    eigenvalues below 1e-14 (eigh noise level) are floored before the
+    log.  If rho puts more than 1e-7 of its mass on dead/floored
+    directions the value is divergent and +inf is returned (with a
+    warning).
 
     Args:
         rho, sigma: density matrices with matching dims.
     """
     if rho.dims != sigma.dims:
         raise ValidationError("dims mismatch between rho and sigma")
-    self_term = _self_term(rho.rho)
+    self_term = _self_term(rho)
     if _is_diagonal(sigma.rho):
         q = np.real(np.diagonal(sigma.rho)).copy()
         masses = np.real(np.diagonal(rho.rho))
         dead = q < 1e-300
     else:
-        q, v = np.linalg.eigh(sigma.rho)
-        masses = np.einsum("ik,ik->k", v, rho.rho @ v)
+        sectors, sig_blocks = _sectors_of(sigma)
+        if sectors is None:
+            rho_blocks = [rho.rho]
+        else:
+            rho_blocks = [rho.rho[np.ix_(idx, idx)] for idx in sectors]
+        qs, ms = [], []
+        for s_blk, r_blk in zip(sig_blocks, rho_blocks):
+            q, v = np.linalg.eigh(s_blk)
+            qs.append(q)
+            ms.append(np.einsum("ik,ik->k", v, r_blk @ v))
+        q, masses = np.concatenate(qs), np.concatenate(ms)
         dead = q < SIGMA_FLOOR
         q = np.maximum(q, SIGMA_FLOOR)
     lost = float(masses[dead].sum())
@@ -231,7 +306,7 @@ def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
 
 def fock_entropy(state: FockDensity) -> float:
     """Von Neumann entropy -Tr rho log rho in nats."""
-    return -_self_term(state.rho)
+    return -_self_term(state)
 
 
 def truncate(state: FockDensity, drop: int) -> FockDensity:
@@ -239,14 +314,14 @@ def truncate(state: FockDensity, drop: int) -> FockDensity:
     new_dims = tuple(d - drop for d in state.dims)
     if min(new_dims) < 2:
         raise ValidationError("truncation would leave fewer than 2 levels")
-    n = len(state.dims)
     tensor = state.rho.reshape(state.dims + state.dims)
     sl = tuple(slice(0, d) for d in new_dims)
     tensor = tensor[sl + sl]
     size = int(np.prod(new_dims, dtype=int))
     rho = tensor.reshape(size, size)
     tr = float(np.trace(rho))
-    return FockDensity(dims=new_dims, rho=rho / tr, trace_deficit=1.0 - tr)
+    deficit = 1.0 - (1.0 - state.trace_deficit) * tr
+    return FockDensity(dims=new_dims, rho=rho / tr, trace_deficit=deficit)
 
 
 def fock_truncation_sensitivity(

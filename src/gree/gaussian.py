@@ -166,11 +166,6 @@ def _embed_local(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     return s
 
 
-def _rotation2(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
 def standard_form(alpha: np.ndarray) -> StandardForm:
     """Reduce a two-mode CM to its local-invariant standard form.
 

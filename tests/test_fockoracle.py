@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gree import (
+    FockDensity,
     NumericalGuardError,
     ValidationError,
     bosonic_entropy,
@@ -20,6 +22,7 @@ from gree import (
     mode_populations,
     tmsv_cm,
 )
+from gree.fockoracle import truncate
 
 THERMAL_ANCHOR = 0.0849495183976987
 
@@ -118,3 +121,132 @@ def test_schmidt_entropy_closed_form():
     for r in (0.2, 0.5, 0.8):
         expect = bosonic_entropy(math.sinh(r) ** 2)
         assert abs(fock_schmidt_entropy(r, 60) - expect) < 1e-8
+
+
+def test_truncate_combines_trace_deficits():
+    state = fock_product(fock_thermal(1.3, 12), fock_thermal(1.1, 12))
+    small = truncate(state, 3)
+    kept = float(np.trace(state.rho.reshape(12, 12, 12, 12)[:9, :9, :9, :9].reshape(81, 81)))
+    assert small.dims == (9, 9)
+    assert abs(np.trace(small.rho) - 1.0) < 1e-12
+    assert abs(small.trace_deficit - (1 - (1 - state.trace_deficit) * kept)) < 1e-15
+    assert small.trace_deficit > state.trace_deficit
+
+
+def _indefinite_two_mode():
+    # no weight between n0 - n1 sectors, but the (|00>, |11>) block has
+    # eigenvalues 0.65 and -0.05
+    rho = np.diag([0.3, 0.4, 0.0, 0.0, 0.0, 0.3] + [0.0] * 10)
+    rho[0, 5] = rho[5, 0] = 0.35
+    return FockDensity((4, 4), rho, 0.0)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        # diagonal path: the negative entry is not the first one
+        FockDensity((3,), np.diag([0.6, 0.7, -0.3]), 0.0),
+        _indefinite_two_mode(),  # per-sector path
+        FockDensity((3,), np.array([[0.5, 0.6, 0.0], [0.6, 0.5, 0.0], [0.0, 0.0, 0.0]]), 0.0),
+    ],
+    ids=["diagonal", "sector", "dense"],
+)
+def test_indefinite_rho_rejected_on_every_path(rho):
+    sigma = fock_product(*(fock_thermal(1.2, d) for d in rho.dims))
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        fock_relative_entropy(rho, sigma)
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        fock_entropy(rho)
+
+
+# dense references at small dims: the truncated unitaries built from the full
+# d^2 x d^2 generators and entropies from whole-matrix eigendecompositions
+
+DIM = 12
+
+
+def _ladders(d):
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    return np.kron(a, np.eye(d)), np.kron(np.eye(d), a)
+
+
+def _dense_two_mode(r, d=DIM):
+    a0, a1 = _ladders(d)
+    return expm(r * (a0.T @ a1.T - a0 @ a1))
+
+
+def _dense_local(s, mode, d=DIM):
+    a = _ladders(d)[mode]
+    return expm(0.5 * s * (a.T @ a.T - a @ a))
+
+
+def _dense_relative_entropy(rho, sigma):
+    p = np.linalg.eigvalsh(rho)
+    p = p[p > 1e-18]
+    q, v = np.linalg.eigh(sigma)
+    masses = np.einsum("ik,ik->k", v, rho @ v)
+    return float(p @ np.log(p) - masses @ np.log(q))
+
+
+def _pair(g0, g1, d=DIM):
+    return fock_product(fock_thermal(g0, d), fock_thermal(g1, d))
+
+
+def test_two_mode_squeeze_of_product_matches_dense():
+    r = 0.35
+    state = _pair(0.6, 0.75)
+    got = fock_apply_squeeze(state, "two_mode", r)
+    u = _dense_two_mode(r)
+    np.testing.assert_allclose(got.rho, u @ state.rho @ u.T, rtol=0, atol=1e-12)
+    sigma = fock_apply_squeeze(_pair(0.9, 0.8), "two_mode", 0.25)
+    expect = _dense_relative_entropy(got.rho, sigma.rho)
+    assert abs(fock_relative_entropy(got, sigma) - expect) <= 1e-12
+
+
+def test_two_mode_squeeze_of_locally_squeezed_input_matches_dense():
+    state = _pair(0.6, 0.7)
+    local = fock_apply_squeeze(state, "local", 0.2, 1)
+    lu = _dense_local(0.2, 1)
+    np.testing.assert_allclose(local.rho, lu @ state.rho @ lu.T, rtol=0, atol=1e-12)
+    got = fock_apply_squeeze(local, "two_mode", -0.3)
+    u = _dense_two_mode(-0.3)
+    np.testing.assert_allclose(got.rho, u @ local.rho @ u.T, rtol=0, atol=1e-12)
+
+
+def _random_dense(seed, d=DIM):
+    # full rank, no sector structure, eigenvalues well above eigh noise
+    x = np.random.default_rng(seed).normal(size=(d * d, d * d))
+    m = x @ x.T + d * d * np.eye(d * d)
+    return FockDensity((d, d), m / np.trace(m), 0.0)
+
+
+@pytest.mark.parametrize(
+    "rho_kind, sigma_kind", [("local", "sector"), ("sector", "dense"), ("dense", "dense")]
+)
+def test_relative_entropy_matches_dense(rho_kind, sigma_kind):
+    sector = fock_apply_squeeze(_pair(0.6, 0.7), "two_mode", 0.3)
+    rho = {
+        "local": fock_apply_squeeze(sector, "local", -0.15, 0),
+        "sector": sector,
+        "dense": _random_dense(5),
+    }[rho_kind]
+    if sigma_kind == "sector":
+        sigma = fock_apply_squeeze(_pair(0.9, 0.8), "two_mode", 0.2)
+    else:
+        sigma = _random_dense(6)
+    expect = _dense_relative_entropy(rho.rho, sigma.rho)
+    assert abs(fock_relative_entropy(rho, sigma) - expect) <= 1e-12
+    assert abs(fock_entropy(rho) + _dense_relative_entropy(rho.rho, np.eye(DIM * DIM))) <= 1e-12
+
+
+def test_squeezes_leave_exact_zeros_between_sectors():
+    n0, n1 = np.divmod(np.arange(DIM * DIM), DIM)
+    diff = n0 - n1
+    two_mode = fock_apply_squeeze(_pair(0.6, 0.7), "two_mode", 0.3)
+    off_sector = diff[:, None] != diff[None, :]
+    assert np.count_nonzero(two_mode.rho[off_sector]) == 0
+    assert np.count_nonzero(two_mode.rho[~off_sector]) > 0
+    local = fock_apply_squeeze(two_mode, "local", 0.1, 0)
+    off_parity = (diff[:, None] - diff[None, :]) % 2 == 1
+    assert np.count_nonzero(local.rho[off_parity]) == 0
+    assert np.count_nonzero(local.rho[off_sector & ~off_parity]) > 0
