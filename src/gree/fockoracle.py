@@ -260,13 +260,14 @@ def _self_term(state: FockDensity) -> float:
 def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
     """Tr rho log rho - Tr rho log sigma on the kept subspace, in nats.
 
-    Diagonal sigma uses its exact diagonal down to underflow; otherwise
-    sigma is eigendecomposed (per sector when it has no weight between
-    sectors; rho then enters only through its diagonal sector blocks) and
+    Diagonal sigma uses its exact diagonal down to underflow, and rho's
+    mass on exactly zero entries is left out; otherwise sigma is
+    eigendecomposed (per sector when it has no weight between sectors;
+    rho then enters only through its diagonal sector blocks) and
     eigenvalues below 1e-14 (eigh noise level) are floored before the
-    log.  If rho puts more than 1e-7 of its mass on dead/floored
-    directions the value is divergent and +inf is returned (with a
-    warning).
+    log, so rho's mass there is charged at log(1e-14).  If rho puts more
+    than 1e-7 of its mass on dead/floored directions the value is
+    divergent and +inf is returned (with a warning).
 
     Args:
         rho, sigma: density matrices with matching dims.
@@ -278,6 +279,8 @@ def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
         q = np.real(np.diagonal(sigma.rho)).copy()
         masses = np.real(np.diagonal(rho.rho))
         dead = q < 1e-300
+        # exact zeros: the mass there is dropped (charged at log 1)
+        q[dead] = 1.0
     else:
         sectors, sig_blocks = _sectors_of(sigma)
         if sectors is None:
@@ -299,8 +302,7 @@ def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
             "relative entropy diverges" % lost
         )
         return float("inf")
-    keep = ~dead
-    cross = float(masses[keep] @ np.log(q[keep]))
+    cross = float(masses @ np.log(q))
     return self_term - cross
 
 

@@ -32,7 +32,7 @@ from .gaussian import (
     symmetric_em,
     symmetric_gammas,
 )
-from .symplectic import elementary_transform
+from .relent import clamp_negative
 
 # search-domain floor on gamma - 1/2 for border states
 PURITY_FLOOR_GAP = 1e-7
@@ -40,8 +40,15 @@ PURITY_FLOOR_GAP = 1e-7
 X_PRIME_CAP = 1e6
 # bracket for the inner minimization over log x
 LOG_X_BRACKET = 6.0
+# edge of the initial simplex along every search variable; scipy's default
+# steps 5% of a coordinate, or 0.00025 where it is 0 (the log-gap anchor of
+# any gamma = 3/2), and such a flat simplex stalls away from the minimum
+SIMPLEX_STEP = 0.1
 
 _TYPE_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
+# family minima within this of the lowest are tied; the first of them in
+# type order gives the label
+TIE_TOL = 1e-12
 
 
 class BorderParams(NamedTuple):
@@ -128,20 +135,94 @@ def border_x_prime(label: str, gamma_a: float, gamma_b: float, shape: float) -> 
     return x_prime
 
 
-def _local_pair(s_q: np.ndarray) -> np.ndarray:
-    """Assemble S = S_q (+) (S_q^T)^-1 in qqpp ordering."""
-    s = np.zeros((4, 4))
-    s[:2, :2] = s_q
-    s[2:, 2:] = np.linalg.inv(s_q.T)
-    return s
+def _congruence_blocks(
+    s11: float, s12: float, s21: float, s22: float, mta: float, mtb: float
+) -> Tuple[float, float, float, float, float, float]:
+    """Blocks of S^-T diag(Mtilde) S^-1 for the local pair S = S_q (+) S_q^-T:
+    the q block S_q^-T diag(mta, mtb) S_q^-1 and the p block
+    S_q diag(mta, mtb) S_q^T, each as (upper-left, off-diagonal,
+    lower-right)."""
+    det = s11 * s22 - s12 * s21
+    k11, k12, k21, k22 = s22 / det, -s12 / det, -s21 / det, s11 / det
+    return (
+        k11 * k11 * mta + k21 * k21 * mtb,
+        k11 * k12 * mta + k21 * k22 * mtb,
+        k12 * k12 * mta + k22 * k22 * mtb,
+        s11 * s11 * mta + s12 * s12 * mtb,
+        s11 * s21 * mta + s12 * s22 * mtb,
+        s21 * s21 * mta + s22 * s22 * mtb,
+    )
+
+
+def _border_blocks(params: BorderParams) -> Tuple[float, float, float, float, float, float]:
+    """The q and p blocks (a1, a2, a3, b1, b2, b3) of a border EM, whose
+    q-p cross block vanishes in every family."""
+    ga, gb = params.gamma_a, params.gamma_b
+    if min(ga, gb) <= 0.5 + PURITY_EPS:
+        raise NumericalGuardError("border gamma too close to 1/2")
+    if not math.isfinite(params.shape):
+        raise ValidationError("shape parameter must be finite")
+    mta, mtb = float(em_spectrum(ga)), float(em_spectrum(gb))
+
+    if params.label in ("I", "II"):
+        x = params.x_prime
+        if not x > 0:
+            raise ValidationError("x_prime must be precomputed for types I/II")
+        # X Mtilde X is diagonal; G^T (.) G mixes it within each block
+        d0, d1, d2, d3 = x * mta, mtb / x, mta / x, x * mtb
+        if params.label == "I":
+            ch, sh = math.cosh(params.shape), math.sinh(params.shape)
+            return (
+                ch * ch * d0 + sh * sh * d1,
+                ch * sh * (d0 + d1),
+                sh * sh * d0 + ch * ch * d1,
+                ch * ch * d2 + sh * sh * d3,
+                -ch * sh * (d2 + d3),
+                sh * sh * d2 + ch * ch * d3,
+            )
+        c, s = math.cos(params.shape), math.sin(params.shape)
+        return (
+            c * c * d0 + s * s * d1,
+            c * s * (d0 - d1),
+            s * s * d0 + c * c * d1,
+            c * c * d2 + s * s * d3,
+            c * s * (d2 - d3),
+            s * s * d2 + c * c * d3,
+        )
+    if params.label == "III":
+        delta = (ga**2 - 0.25) * (gb**2 - 0.25)
+        if int(params.shape) == 1:
+            s_q = (
+                (1.0 + delta / ga**2) ** 0.25,
+                0.0,
+                (delta**2 / (ga**2 * (gb**2 + delta))) ** 0.25,
+                (gb**2 / (gb**2 + delta)) ** 0.25,
+            )
+        elif int(params.shape) == 2:
+            s_q = (
+                (ga**2 / (ga**2 + delta)) ** 0.25,
+                (delta**2 / (gb**2 * (ga**2 + delta))) ** 0.25,
+                0.0,
+                (1.0 + delta / gb**2) ** 0.25,
+            )
+        else:
+            raise ValidationError("type III kind must be 1 or 2")
+        return _congruence_blocks(*s_q, mta, mtb)
+    if params.label == "IV":
+        s1 = (4.0 * ga**2 * (4.0 * gb**2 + 1.0) / (4.0 * ga**2 + 1.0)) ** 0.25
+        s2 = ((4.0 * gb**2 + 1.0) / (4.0 * gb**2 * (4.0 * ga**2 + 1.0))) ** 0.25
+        w = 1.0 / math.sqrt(2.0)
+        return _congruence_blocks(s1 * w, s2 * w, s1 * w, -s2 * w, mta, mtb)
+    raise ValidationError("unknown border type %r" % (params.label,))
 
 
 def border_em(params: BorderParams) -> np.ndarray:
     """Exponential matrix of the border state described by params.
 
-    Types I/II congruence-transform Mtilde by X(x') and the two-mode
-    squeeze/rotation; types III/IV use the closed-form S_q matrices with
-    delta = (gamma_A^2 - 1/4)(gamma_B^2 - 1/4).
+    Types I/II are the congruence G^T X(x') Mtilde X(x') G with the
+    two-mode squeeze (I) or rotation (II) G; types III/IV use the
+    closed-form S_q matrices with delta = (gamma_A^2 - 1/4)(gamma_B^2 - 1/4).
+    Every family is assembled from closed-form 2x2 blocks.
 
     Args:
         params: family point; gammas must be strictly mixed.
@@ -150,56 +231,24 @@ def border_em(params: BorderParams) -> np.ndarray:
         Symmetric positive-definite 4x4 EM whose state lies on the
         separable border.
     """
-    ga, gb = params.gamma_a, params.gamma_b
-    if min(ga, gb) <= 0.5 + PURITY_EPS:
-        raise NumericalGuardError("border gamma too close to 1/2")
-    mta, mtb = em_spectrum(np.array([ga, gb]))
-    mtilde = np.diag([mta, mtb, mta, mtb])
+    a1, a2, a3, b1, b2, b3 = _border_blocks(params)
+    return np.array(
+        [
+            [a1, a2, 0.0, 0.0],
+            [a2, a3, 0.0, 0.0],
+            [0.0, 0.0, b1, b2],
+            [0.0, 0.0, b2, b3],
+        ]
+    )
 
-    if params.label in ("I", "II"):
-        if not params.x_prime > 0:
-            raise ValidationError("x_prime must be precomputed for types I/II")
-        x_op = elementary_transform("local_squeeze_X", params.x_prime)
-        if params.label == "I":
-            g_op = elementary_transform("two_mode_squeeze_qq", params.shape)
-        else:
-            g_op = elementary_transform("two_mode_rotation_qq", params.shape)
-        m = g_op.T @ x_op @ mtilde @ x_op @ g_op
-    elif params.label == "III":
-        delta = (ga**2 - 0.25) * (gb**2 - 0.25)
-        if int(params.shape) == 1:
-            s_q = np.array(
-                [
-                    [(1.0 + delta / ga**2) ** 0.25, 0.0],
-                    [
-                        (delta**2 / (ga**2 * (gb**2 + delta))) ** 0.25,
-                        (gb**2 / (gb**2 + delta)) ** 0.25,
-                    ],
-                ]
-            )
-        elif int(params.shape) == 2:
-            s_q = np.array(
-                [
-                    [
-                        (ga**2 / (ga**2 + delta)) ** 0.25,
-                        (delta**2 / (gb**2 * (ga**2 + delta))) ** 0.25,
-                    ],
-                    [0.0, (1.0 + delta / gb**2) ** 0.25],
-                ]
-            )
-        else:
-            raise ValidationError("type III kind must be 1 or 2")
-        s_inv = np.linalg.inv(_local_pair(s_q))
-        m = s_inv.T @ mtilde @ s_inv
-    elif params.label == "IV":
-        s1 = (4.0 * ga**2 * (4.0 * gb**2 + 1.0) / (4.0 * ga**2 + 1.0)) ** 0.25
-        s2 = ((4.0 * gb**2 + 1.0) / (4.0 * gb**2 * (4.0 * ga**2 + 1.0))) ** 0.25
-        s_q = np.array([[s1, s2], [s1, -s2]]) / math.sqrt(2.0)
-        s_inv = np.linalg.inv(_local_pair(s_q))
-        m = s_inv.T @ mtilde @ s_inv
-    else:
-        raise ValidationError("unknown border type %r" % (params.label,))
-    return 0.5 * (m + m.T)
+
+def _strip_blocks(
+    a1: float, a2: float, a3: float, b1: float, b2: float, b3: float
+) -> Tuple[float, float, float, float]:
+    if min(a1, a3, b1, b3) <= 0:
+        raise NumericalGuardError("EM diagonal is not positive")
+    y0 = (a1 * a3 / (b1 * b3)) ** 0.25
+    return math.sqrt(a1 * b1), a2 / y0, math.sqrt(a3 * b3), b2 * y0
 
 
 def xy_strip(m: np.ndarray) -> Tuple[float, float, float, float]:
@@ -218,14 +267,7 @@ def xy_strip(m: np.ndarray) -> Tuple[float, float, float, float]:
         raise ValidationError("expected a symmetric 4x4 EM")
     if float(np.max(np.abs(m[:2, 2:]))) > 1e-10 * scale:
         raise ValidationError("EM has q-p correlations; strip is undefined")
-    a1, a2, a3 = m[0, 0], m[0, 1], m[1, 1]
-    b1, b2, b3 = m[2, 2], m[2, 3], m[3, 3]
-    if min(a1, a3, b1, b3) <= 0:
-        raise NumericalGuardError("EM diagonal is not positive")
-    m1 = math.sqrt(a1 * b1)
-    m3 = math.sqrt(a3 * b3)
-    y0 = (a1 * a3 / (b1 * b3)) ** 0.25
-    return m1, a2 / y0, m3, b2 * y0
+    return _strip_blocks(m[0, 0], m[0, 1], m[1, 1], m[2, 2], m[2, 3], m[3, 3])
 
 
 def fold_cross_terms(ms2: float, ms4: float) -> Tuple[float, float]:
@@ -267,6 +309,31 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
     return u
 
 
+def _increasing_root(g, dg, a: float, b: float) -> float:
+    """Root of g on [a, b], where g increases from g(a) < 0 to g(b) > 0:
+    Newton steps, with bisection whenever a step leaves the bracket."""
+    z = 0.5 * (a + b)
+    for _ in range(200):
+        gz = g(z)
+        if gz == 0.0:
+            return z
+        if gz < 0.0:
+            a = z
+        else:
+            b = z
+        slope = dg(z)
+        step = gz / slope if slope > 0.0 else math.inf
+        z_new = z - step
+        if not a < z_new < b:
+            z_new = 0.5 * (a + b)
+            if not a < z_new < b:
+                return z
+        elif abs(step) <= 1e-15 * (1.0 + abs(z)):
+            return z_new
+        z = z_new
+    return z
+
+
 def inner_minimize(
     alpha_sf: Sequence[float], m_std: Sequence[float]
 ) -> InnerMinState:
@@ -274,8 +341,16 @@ def inner_minimize(
 
     With P(x) = a1 M1 x + a3 M3 / x + 2 a2 M2 and
     Q(x) = a1 M1 / x + a3 M3 x + 2 a4 M4, the y minimization is closed
-    form: min_y (y P + Q/y)/2 = sqrt(P Q) at y = sqrt(Q/P); x is found by
-    a bracketed scan plus golden-section on log x in [-6, 6].
+    form: min_y (y P + Q/y)/2 = sqrt(P Q) at y = sqrt(Q/P).  The minimum
+    of P Q over log x in [-6, 6] lies at an end of that bracket or at a
+    root of the stationarity quartic
+    2pq x^4 + (pt + qs) x^3 - (ps + qt) x - 2pq = 0, with p = a1 M1,
+    q = a3 M3, s = 2 a2 M2 and t = 2 a4 M4.  In z = x - 1/x the quartic
+    reads g(z) = 2pq z + k z / sqrt(z^2 + 4) + h = 0, with
+    k = (p + q)(s + t)/2 and h = (p - q)(t - s)/2.  g increases
+    everywhere unless k < -4pq, and then everywhere but on one central
+    stretch, so the minima are the roots on the increasing stretches,
+    each found by a safeguarded Newton iteration.
 
     Args:
         alpha_sf: rho's standard-form parameters (a1, a2, a3, a4) with
@@ -283,8 +358,9 @@ def inner_minimize(
         m_std: folded EM parameters (M1, M2, M3, M4).
 
     Raises:
-        NumericalGuardError: a factor under the square root is
-            non-positive at the minimizer (invalid M parameters).
+        NumericalGuardError: P or Q is non-positive somewhere on the
+            bracket, so the M parameters cannot be a positive-definite
+            EM (there the trace would run down to 0 at a wall).
     """
     a1, a2, a3, a4 = (float(v) for v in alpha_sf)
     m1, m2, m3, m4 = (float(v) for v in m_std)
@@ -297,29 +373,43 @@ def inner_minimize(
     s_c = 2.0 * a2 * m2
     t_c = 2.0 * a4 * m4
 
-    def product(u: float) -> float:
-        x = math.exp(u)
-        p = p_c * x + q_c / x + s_c
-        q = p_c / x + q_c * x + t_c
-        if p <= 0.0 or q <= 0.0:
-            return math.inf
-        return p * q
+    def factors(x):
+        return p_c * x + q_c / x + s_c, p_c / x + q_c * x + t_c
 
-    # coarse scan guards against the rare multi-valley instance, then a
-    # golden-section refinement within the winning cell
-    grid = np.linspace(-LOG_X_BRACKET, LOG_X_BRACKET, 25)
-    values = [product(u) for u in grid]
-    k = int(np.argmin(values))
-    if not math.isfinite(values[k]):
-        raise NumericalGuardError("trace factors non-positive on the whole bracket")
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    u_opt = _golden_min(product, lo, hi)
-    x_opt = math.exp(u_opt)
-    p = p_c * x_opt + q_c / x_opt + s_c
-    q = p_c / x_opt + q_c * x_opt + t_c
-    if p <= 0.0 or q <= 0.0:
-        raise NumericalGuardError("trace factor non-positive at the minimizer")
+    # P and Q are convex in x: each is smallest at its vertex, clipped
+    # to the bracket
+    x_lo, x_hi = math.exp(-LOG_X_BRACKET), math.exp(LOG_X_BRACKET)
+    x_p = min(max(math.sqrt(q_c / p_c), x_lo), x_hi)
+    x_q = min(max(math.sqrt(p_c / q_c), x_lo), x_hi)
+    if factors(x_p)[0] <= 0.0 or factors(x_q)[1] <= 0.0:
+        raise NumericalGuardError("trace factor non-positive on the x bracket")
+
+    pq2 = 2.0 * p_c * q_c
+    k = 0.5 * (p_c + q_c) * (s_c + t_c)
+    h = 0.5 * (p_c - q_c) * (t_c - s_c)
+
+    def g(z):
+        return pq2 * z + k * z / math.sqrt(z * z + 4.0) + h
+
+    def dg(z):
+        return pq2 + 4.0 * k / (z * z + 4.0) ** 1.5
+
+    # |k z / sqrt(z^2 + 4)| < |k| confines every root to [z_min, z_max]
+    z_min = max(x_lo - 1.0 / x_lo, (-h - abs(k)) / pq2)
+    z_max = min(x_hi - 1.0 / x_hi, (-h + abs(k)) / pq2)
+    if pq2 + 0.5 * k >= 0.0:
+        stretches = [(z_min, z_max)]
+    else:
+        z_c = math.sqrt((-4.0 * k / pq2) ** (2.0 / 3.0) - 4.0)
+        stretches = [(z_min, min(z_max, -z_c)), (max(z_min, z_c), z_max)]
+    candidates = [x_lo, x_hi]
+    for a, b in stretches:
+        if a < b and g(a) < 0.0 < g(b):
+            z = _increasing_root(g, dg, a, b)
+            w = math.sqrt(z * z + 4.0)
+            candidates.append(0.5 * (z + w) if z >= 0.0 else 2.0 / (w - z))
+    x_opt = min(candidates, key=lambda x: math.prod(factors(x)))
+    p, q = factors(x_opt)
     return InnerMinState(
         alpha_sf=(a1, a2, a3, a4),
         m_std=(m1, m2, m3, m4),
@@ -355,12 +445,13 @@ def _neg_log_c(gamma_a: float, gamma_b: float) -> float:
     return 0.5 * (math.log(gamma_a**2 - 0.25) + math.log(gamma_b**2 - 0.25))
 
 
-def _clamped(value: float) -> float:
-    if value < 0.0:
-        if value < -1e-10:
-            raise NumericalGuardError("GREE came out %.3e < 0" % value)
-        return 0.0
-    return value
+def _confirmed(minima: Sequence[float], tol: float) -> bool:
+    """True once the lowest simplex minimum is matched within tol by a
+    second start."""
+    if len(minima) < 2:
+        return False
+    first, second = sorted(minima)[:2]
+    return second - first <= tol
 
 
 def _separable_result(alpha_rho: np.ndarray, gammas: np.ndarray, residual: float) -> GreeResult:
@@ -388,22 +479,30 @@ def gree(
 
     Separable input returns 0 immediately.  Otherwise the state is put in
     standard form and, for each family (I, II, III kind 1, III kind 2,
-    IV), a multi-start simplex search runs over (gamma_A, gamma_B) plus
-    the shape variable where present, each candidate completed by the
-    inner x/y minimization.  Ties are broken by type order I < II < III
-    < IV, then lexicographic parameters, so runs are reproducible.
+    IV), simplex searches run over (gamma_A, gamma_B) plus the shape
+    variable where present, each candidate completed by the inner x/y
+    minimization.  The starts are the family's seed-grid points, best
+    first; a family stops once two starts reach the same lowest minimum
+    within tol, after `starts` starts, or at once when even its best
+    seed point is infeasible.  Family minima within TIE_TOL of the
+    lowest count as tied, and the first of them in type order
+    I < II < III < IV gives the label, the value and the minimizing EM,
+    so the label does not depend on roundoff or on the start count.
 
     Args:
         alpha_rho: physical two-mode CM.
-        starts: simplex starts per family (seeded from a coarse grid).
+        starts: cap on the simplex starts per family (seeded from a
+            coarse grid, jittered beyond its size).
         seed: RNG seed for the jittered extra starts.
         families: labels to restrict the search to (default all four).
-        tol: function tolerance of the simplex refinements.
+        tol: function tolerance of the simplex refinements, and the
+            agreement that stops a family.
 
     Returns:
         GreeResult with the value in nats, the winning family, its
         parameters, the minimizing EM transformed back to the input
-        frame, and per-family minima in diagnostics.
+        frame, and diagnostics: per-family minima, the tied families,
+        the starts run per family search and the simplex iterations.
     """
     alpha_rho = np.asarray(alpha_rho, dtype=float)
     if families is None:
@@ -437,8 +536,7 @@ def gree(
                 params = BorderParams(label, ga, gb, float(shape), x_prime)
             else:
                 params = BorderParams(label, ga, gb, float(shape), 1.0)
-            m_base = border_em(params)
-            m1, ms2, m3, ms4 = xy_strip(m_base)
+            m1, ms2, m3, ms4 = _strip_blocks(*_border_blocks(params))
             m2, m4 = fold_cross_terms(ms2, ms4)
             inner = inner_minimize(alpha_params, (m1, m2, m3, m4))
         except (NumericalGuardError, ValidationError):
@@ -458,12 +556,14 @@ def gree(
         if label in selected
     )
     per_type: dict = {}
-    best = None  # (value, order, params-tuple, aux)
+    found: dict = {}  # family key -> (value, params, inner), in type order
+    starts_run: dict = {}
     total_iters = 0
     nm_options = {"fatol": tol, "xatol": 1e-8, "maxiter": 600}
 
     for label, fixed_shape in family_plan:
         with_shape = fixed_shape is None
+        key = label if label != "III" else "III_%d" % int(fixed_shape)
 
         def fun(v, label=label, fixed=fixed_shape):
             shape = v[2] if fixed is None else fixed
@@ -476,53 +576,64 @@ def gree(
                     pool.extend((ua, ub, sh) for sh in shape_grid)
                 else:
                     pool.append((ua, ub))
-        pool.sort(key=fun)
+        scores = [fun(p) for p in pool]
+        order = sorted(range(len(pool)), key=scores.__getitem__)
+        pool = [pool[i] for i in order]
         seeds = [np.array(p) for p in pool[:starts]]
         while len(seeds) < starts:
             seeds.append(seeds[len(seeds) % len(pool)] + 0.3 * rng.standard_normal(len(pool[0])))
 
+        minima = []
         family_best = (math.inf, None)
-        for x0 in seeds:
-            with np.errstate(invalid="ignore"):
-                res = minimize(fun, x0, method="Nelder-Mead", options=nm_options)
-            total_iters += int(res.nit)
-            if res.fun < family_best[0]:
-                family_best = (float(res.fun), np.asarray(res.x))
-        key = label if label != "III" else "III_%d" % int(fixed_shape)
+        # the pool is sorted, so an infeasible best point means all are
+        if math.isfinite(scores[order[0]]):
+            for x0 in seeds:
+                simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(len(x0))])
+                with np.errstate(invalid="ignore"):
+                    res = minimize(fun, x0, method="Nelder-Mead",
+                                   options=dict(nm_options, initial_simplex=simplex))
+                total_iters += int(res.nit)
+                minima.append(float(res.fun))
+                if res.fun < family_best[0]:
+                    family_best = (float(res.fun), np.asarray(res.x))
+                if _confirmed(minima, tol):
+                    break
+        starts_run[key] = len(minima)
         per_type[key] = family_best[0]
         if family_best[1] is not None and math.isfinite(family_best[0]):
             v = family_best[1]
             shape = v[2] if with_shape else fixed_shape
             value, aux = evaluate(label, shape, v[0], v[1])
             if aux is not None:
-                cand = (value, _TYPE_ORDER[label], tuple(aux[0]), aux)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
+                found[key] = (value,) + aux
 
     if "III" in selected:
         per_type["III"] = min(per_type.pop("III_1"), per_type.pop("III_2"))
     per_type = {k: per_type[k] for k in _TYPE_ORDER if k in per_type}
-    if best is None:
+    if not found:
         raise SearchFailureError(
             "no feasible border candidate in any family; per-type minima %r"
             % (per_type,)
         )
 
-    value, _, _, (params, inner) = best
+    lowest = min(entry[0] for entry in found.values())
+    tied = [key for key, entry in found.items() if entry[0] <= lowest + TIE_TOL]
+    value, params, inner = found[tied[0]]
     m_fold = _standard_em(*inner.m_std)
     xy = _squeeze_xy(inner.x_opt, inner.y_opt)
     m_best_std = xy @ m_fold @ xy
     best_em = sf.local.T @ m_best_std @ sf.local
     _, border_residual = is_separable(em_to_cm(best_em))
     return GreeResult(
-        value=_clamped(value),
+        value=clamp_negative(value, "GREE"),
         label=params.label,
         params=params,
         best_em=best_em,
         diagnostics={
             "separable": False,
             "per_type": per_type,
-            "starts": starts,
+            "tied_families": list(dict.fromkeys(found[key][1].label for key in tied)),
+            "starts": starts_run,
             "iterations": total_iters,
             "rho_type": classify(sf).label,
             "border_residual": border_residual,
@@ -616,7 +727,7 @@ def gree_symmetric(p: SymmetricParams, starts: int = 8, seed: int = 0) -> GreeRe
     sigma = _sigma_from_mtilde(ta, tb)
     best_em = symmetric_em(sigma)
     gamma_a, gamma_b = symmetric_gammas(sigma)
-    value = _clamped(_self_term(gammas_rho) + best_w)
+    value = clamp_negative(_self_term(gammas_rho) + best_w, "GREE")
     _, border_residual = is_separable(symmetric_cm(sigma))
     return GreeResult(
         value=value,
@@ -667,7 +778,7 @@ def gree_tmst(m: float, k: float) -> GreeResult:
     sigma = _sigma_from_mtilde(t_opt, t_opt)
     best_em = symmetric_em(sigma)
     gamma_s = 0.5 * _coth(0.5 * t_opt)
-    value = _clamped(_self_term(gammas_rho) + f(u_opt))
+    value = clamp_negative(_self_term(gammas_rho) + f(u_opt), "GREE")
     _, border_residual = is_separable(symmetric_cm(sigma))
     return GreeResult(
         value=value,

@@ -81,12 +81,21 @@ def relative_entropy(
     cross = cross_term(alpha_rho, m_sigma)
     if z is not None:
         cross += displacement_penalty(m_sigma, z)
-    value = self_term + cross
-    if value < 0:
-        if value < -NEGATIVE_CLAMP:
-            raise NumericalGuardError("relative entropy came out %.3e < 0" % value)
-        value = 0.0
+    value = clamp_negative(self_term + cross, "relative entropy")
     return RelEntResult(value=value, self_term=self_term, cross_term=cross)
+
+
+def clamp_negative(value: float, what: str) -> float:
+    """value, with [-NEGATIVE_CLAMP, 0) rounded up to zero.
+
+    Raises:
+        NumericalGuardError: value < -NEGATIVE_CLAMP (what names it).
+    """
+    if value < 0.0:
+        if value < -NEGATIVE_CLAMP:
+            raise NumericalGuardError("%s came out %.3e < 0" % (what, value))
+        return 0.0
+    return value
 
 
 def displacement_penalty(m_sigma: np.ndarray, z: np.ndarray) -> float:

@@ -11,6 +11,7 @@ from gree import (
     NumericalGuardError,
     ValidationError,
     bosonic_entropy,
+    elementary_transform,
     fock_apply_squeeze,
     fock_covariance,
     fock_entropy,
@@ -20,6 +21,7 @@ from gree import (
     fock_thermal,
     fock_truncation_sensitivity,
     mode_populations,
+    relative_entropy,
     tmsv_cm,
 )
 from gree.fockoracle import truncate
@@ -250,3 +252,29 @@ def test_squeezes_leave_exact_zeros_between_sectors():
     off_parity = (diff[:, None] - diff[None, :]) % 2 == 1
     assert np.count_nonzero(local.rho[off_parity]) == 0
     assert np.count_nonzero(local.rho[off_sector & ~off_parity]) > 0
+
+
+def test_dead_sigma_mass_is_charged_on_a_locally_squeezed_pair():
+    # a locally squeezed rho puts ~1e-11 of its mass on dense-sigma
+    # eigen-directions below SIGMA_FLOOR; leaving that mass out moved the
+    # dim-45 value about 4.6e-10 away from the Gaussian one
+    g_rho = (0.980387431116233, 0.6266026375380961)
+    g_sig = (1.1614420844495412, 1.2730669677773594)
+    r_rho, r_sig, s_local = 0.0780556545197933, 0.27364870546278375, 0.13904883520678216
+    s_rho = elementary_transform("two_mode_squeeze_qq", r_rho)
+    s_sig = elementary_transform("two_mode_squeeze_qq", r_sig)
+    local = np.diag([math.exp(s_local), 1.0, math.exp(-s_local), 1.0])
+    alpha_rho = local @ s_rho @ np.diag(g_rho + g_rho) @ s_rho.T @ local.T
+    alpha_sig = s_sig @ np.diag(g_sig + g_sig) @ s_sig.T
+    gauss = relative_entropy(alpha_rho, alpha_sig).value
+    errors = {}
+    for dim in (30, 45):
+        rho = fock_apply_squeeze(
+            fock_product(fock_thermal(g_rho[0], dim), fock_thermal(g_rho[1], dim)),
+            "two_mode", r_rho)
+        rho = fock_apply_squeeze(rho, "local", s_local, 0)
+        sigma = fock_apply_squeeze(
+            fock_product(fock_thermal(g_sig[0], dim), fock_thermal(g_sig[1], dim)),
+            "two_mode", r_sig)
+        errors[dim] = abs(fock_relative_entropy(rho, sigma) - gauss)
+    assert errors[45] <= errors[30]

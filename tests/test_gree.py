@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from gree import (
     BorderParams,
@@ -16,6 +17,7 @@ from gree import (
     bosonic_entropy,
     check_physical,
     elementary_transform,
+    em_spectrum,
     em_to_cm,
     fold_cross_terms,
     gree,
@@ -30,6 +32,7 @@ from gree import (
     tmsv_cm,
     xy_strip,
 )
+from gree.cli import _fig12_state
 from conftest import draw_separable_cm
 
 
@@ -291,3 +294,161 @@ def test_gree_separable_routes_return_zero():
     assert is_separable(symmetric_cm(p))[0]
     assert gree_symmetric(p).value == 0.0
     assert gree_tmst(1.6, 0.2).value == 0.0
+
+
+def transform_border_em(params):
+    """Types I/II built as G^T X(x') Mtilde X(x') G from the checked
+    elementary transforms."""
+    mta, mtb = em_spectrum(np.array([params.gamma_a, params.gamma_b]))
+    mtilde = np.diag([mta, mtb, mta, mtb])
+    x_op = elementary_transform("local_squeeze_X", params.x_prime)
+    kind = "two_mode_squeeze_qq" if params.label == "I" else "two_mode_rotation_qq"
+    g_op = elementary_transform(kind, params.shape)
+    return g_op.T @ x_op @ mtilde @ x_op @ g_op
+
+
+def test_closed_form_border_em_matches_transform_construction():
+    rng = np.random.default_rng(5)
+    built = 0
+    while built < 200:
+        label = "I" if built % 2 == 0 else "II"
+        gamma_a, gamma_b = rng.uniform(0.52, 3.0, 2)
+        if label == "I":
+            shape = rng.uniform(-1.5, 1.5)
+        else:
+            shape = rng.uniform(0.02, 0.5 * math.pi)
+        try:
+            x_prime = border_x_prime(label, gamma_a, gamma_b, shape)
+        except NumericalGuardError:
+            continue
+        params = BorderParams(label, gamma_a, gamma_b, shape, x_prime)
+        closed = border_em(params)
+        reference = transform_border_em(params)
+        scale = float(np.max(np.abs(reference)))
+        assert float(np.max(np.abs(closed - reference))) <= 1e-13 * scale
+        built += 1
+
+
+def trace_factors(alpha_sf, m_std, u):
+    """P and Q at x = exp(u)."""
+    a1, a2, a3, a4 = alpha_sf
+    m1, m2, m3, m4 = m_std
+    x = np.exp(u)
+    return (a1 * m1 * x + a3 * m3 / x + 2 * a2 * m2,
+            a1 * m1 / x + a3 * m3 * x + 2 * a4 * m4)
+
+
+def dense_grid_minimum(alpha_sf, m_std, points=20001):
+    """min over log x in [-6, 6] of sqrt(P Q) from a dense grid, each
+    grid valley refined by bounded Brent; None when P or Q is
+    non-positive at a grid point."""
+    grid = np.linspace(-6.0, 6.0, points)
+    p, q = trace_factors(alpha_sf, m_std, grid)
+    if np.any(p <= 0.0) or np.any(q <= 0.0):
+        return None
+    values = np.sqrt(p * q)
+    best = float(min(values[0], values[-1]))
+    valleys = np.flatnonzero((values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])) + 1
+    for k in valleys:
+        res = minimize_scalar(
+            lambda u: math.sqrt(math.prod(trace_factors(alpha_sf, m_std, u))),
+            bounds=(grid[k - 1], grid[k + 1]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        best = min(best, float(res.fun), float(values[k]))
+    return best
+
+
+def test_inner_minimize_matches_dense_grid():
+    rng = np.random.default_rng(17)
+    matched = raised = off_bracket = 0
+    for draw in range(200):
+        a1, a3 = rng.uniform(0.6, 3.0, 2)
+        bound = math.sqrt(a1 * a3)
+        if draw % 4:
+            # log M spread wide enough to push P's and Q's vertices off
+            # the bracket; |M2|, |M4| up to 2 sqrt(M1 M3) leave M
+            # indefinite, which opens an infeasible stretch of x
+            alpha_sf = (a1, rng.uniform(0.0, 0.95) * bound, a3, -rng.uniform(0.0, 0.95) * bound)
+            m1, m3 = np.exp(rng.uniform(-7.0, 7.0, 2))
+            cross = math.sqrt(m1 * m3)
+            m_std = (m1, -rng.uniform(0.0, 2.0) * cross, m3, rng.uniform(-2.0, 2.0) * cross)
+        else:
+            # P's vertex at log x = +-(8..12) and 2 sqrt(pq) + s < 0: the
+            # infeasible stretch lies wholly off the bracket
+            alpha_sf = (a1, 0.9 * bound, a3, -rng.uniform(0.0, 0.95) * bound)
+            u_vertex = rng.choice([-1.0, 1.0]) * rng.uniform(8.0, 12.0)
+            m1 = math.exp(rng.uniform(-3.0, 3.0))
+            m3 = m1 * a1 / a3 * math.exp(2.0 * u_vertex)
+            cross = math.sqrt(m1 * m3)
+            m_std = (m1, -rng.uniform(1.2, 2.0) * cross, m3, rng.uniform(-1.0, 1.0) * cross)
+        reference = dense_grid_minimum(alpha_sf, m_std)
+        if reference is None:
+            with pytest.raises(NumericalGuardError):
+                inner_minimize(alpha_sf, m_std)
+            raised += 1
+            continue
+        state = inner_minimize(alpha_sf, m_std)
+        assert state.half_trace <= reference * (1.0 + 1e-12)
+        assert state.half_trace >= reference * (1.0 - 1e-10)
+        assert math.exp(-6.0) <= state.x_opt <= math.exp(6.0)
+        matched += 1
+        p, q = trace_factors(alpha_sf, m_std, np.linspace(-30.0, 30.0, 60001))
+        off_bracket += bool(np.any(p <= 0.0) or np.any(q <= 0.0))
+    assert matched >= 100 and raised >= 10 and off_bracket >= 20
+
+
+# default gree() at starts=32 before the start budget: the value, then
+# the per-family minima I, II, III, IV
+PINNED = {
+    "fig1": (0.7550057071828664,
+             (0.7550057071828664, 0.7557400563105754, 0.7557400563105665, 0.7561760786786775)),
+    "fig2": (0.02182972987007714,
+             (0.022006914354501417, 0.02182972987007714, 0.022006914354495866,
+              0.022888440902640195)),
+    "tmsv": (0.7341251564695732,
+             (0.7341251564695734, 0.7341251564695732, 0.7341251564695739, 0.7341251564695739)),
+    "standard": (0.048828691185982986,
+                 (0.048828691185982986, 0.048914193841594455, 0.04891419384158935,
+                  0.08804518770348335)),
+}
+
+
+def pinned_state(name):
+    if name == "fig1":
+        return _fig12_state("fig1", 1.3, 1.5, 1.1, 5.0)[0]
+    if name == "fig2":
+        return _fig12_state("fig2", 1.3, 1.5, 0.5 * math.asinh(0.5), 1.5)[0]
+    if name == "tmsv":
+        return tmsv_cm(0.5)
+    return standard_cm(1.2, 0.9, 0.7, 0.6)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_default_gree_matches_pinned_values(name):
+    value, per_family = PINNED[name]
+    res = gree(pinned_state(name))
+    assert abs(res.value - value) <= 1e-10
+    per_type = res.diagnostics["per_type"]
+    for label, expected in zip(("I", "II", "III", "IV"), per_family):
+        assert abs(per_type[label] - expected) <= 1e-10
+    starts = res.diagnostics["starts"]
+    assert list(starts) == ["I", "II", "III_1", "III_2", "IV"]
+    assert all(1 <= n <= 32 for n in starts.values())
+
+
+def test_gree_label_is_stable_under_ties_and_start_counts():
+    # all four family minima of the TMSV agree within 5e-16
+    results = [gree(tmsv_cm(0.5), starts=n) for n in (2, 32)]
+    for res in results:
+        assert res.label == "I"
+        assert res.diagnostics["tied_families"] == ["I", "II", "III", "IV"]
+        assert res.value == res.diagnostics["per_type"]["I"]
+    assert abs(results[0].value - results[1].value) <= 1e-12
+
+
+def test_gree_start_budget_is_capped():
+    res = gree(standard_cm(1.2, 0.9, 0.7, 0.6), starts=1)
+    assert res.diagnostics["starts"] == {"I": 1, "II": 1, "III_1": 1, "III_2": 1, "IV": 1}
+    assert res.diagnostics["tied_families"] == ["I"]

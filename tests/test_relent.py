@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gree import (
+    NumericalGuardError,
     ValidationError,
     cm_to_em,
     cross_term,
@@ -16,6 +17,7 @@ from gree import (
     relative_entropy,
     von_neumann_entropy,
 )
+from gree.relent import NEGATIVE_CLAMP, clamp_negative
 from conftest import thermal_cm
 
 # thermal gamma_rho = 1 against gamma_sigma = 3/2, one mode:
@@ -98,3 +100,10 @@ def test_relative_entropy_is_nonnegative(seed):
     res = relative_entropy(alpha, sigma)
     assert res.value >= 0.0
     assert math.isfinite(res.value)
+
+
+def test_negative_clamp_boundary():
+    assert clamp_negative(0.25, "value") == 0.25
+    assert clamp_negative(-NEGATIVE_CLAMP, "value") == 0.0
+    with pytest.raises(NumericalGuardError, match="GREE came out"):
+        clamp_negative(-2.0 * NEGATIVE_CLAMP, "GREE")
