@@ -1,31 +1,43 @@
 """Brute-force verification oracle in a truncated Fock basis.
 
-States are dense density matrices over per-mode number bases; entropies
-are computed by spectral calculus with no Gaussian formulas involved, so
+States are density matrices over per-mode number bases; entropies are
+computed by spectral calculus with no Gaussian formulas involved, so
 results can be compared against the closed-form path independently.
 
 Thermal products are diagonal, two-mode squeezing conserves n0 - n1 and
-every squeeze here conserves total-number parity, so the states built by
-this module have no weight between sectors of those charges.  That
-structure is read from exact zeros in rho (nothing records it): squeezes
-are applied chain by chain and spectra are taken per sector block, over
-the n0 - n1 sectors when the state respects them, over the two parity
-sectors otherwise, and on the whole matrix when it respects neither.
+every squeeze here conserves total-number parity.  States built by this
+module carry that structure from construction: the partition of the
+basis they respect (the diagonal, the n0 - n1 chains or the two parity
+halves), their rho blocks over it, their spectrum (the product of the
+thermal weights, which the orthogonal squeezes leave unchanged) and the
+squeeze unitaries applied to them, whose product holds the eigenvectors.
+Squeezes act block by block, self terms read the carried spectrum and
+cross terms push rho back through sigma's squeezes, so no eigensolver
+runs on a built state.  A thermal product holds prod(dims) numbers and a
+two-mode squeezed one its chain blocks, O(d^3) for two modes of d levels;
+a locally squeezed state holds its two parity halves, half the dense
+size.  The dense rho is assembled only when read.
+
+A user-built FockDensity(dims, rho, trace_deficit) carries nothing: its
+structure is read from exact zeros in rho (n0 - n1 sectors, then parity,
+then the whole matrix) and its spectra come from per-block
+eigendecompositions.  The output of truncate keeps the partition but not
+the spectrum, and takes the same spectral path.
 """
 
+import itertools
 import warnings
-from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from functools import lru_cache, reduce
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .errors import NumericalGuardError, ValidationError
 
 # computed sigma eigenvalues below this are dominated by eigh roundoff and
-# are floored before taking the log (dense sigma only; diagonal entries are
-# exact and used down to underflow)
+# are floored before taking the log (sigma without a carried spectrum and
+# not diagonal); for a built sigma it is the support threshold
 SIGMA_FLOOR = 1e-14
 # rho mass allowed on floored/dead sigma directions before declaring
 # divergence; below this the omitted contribution stays ~1e-5 or smaller
@@ -34,13 +46,50 @@ SUPPORT_MASS_TOL = 1e-7
 DEFECT_TOL = 1e-3
 
 
-class FockDensity(NamedTuple):
-    """Truncated density matrix: dims per mode, rho of size prod(dims),
-    and the trace lost to truncation before renormalization."""
+class _Squeeze(NamedTuple):
+    """One applied squeeze: its orthogonal blocks, one per n0 - n1 chain
+    (two_mode) or the even- and odd-level parts acting on `mode` (local)."""
 
-    dims: Tuple[int, ...]
-    rho: np.ndarray
-    trace_deficit: float
+    kind: str
+    mode: int
+    parts: tuple
+
+    def transposed(self) -> "_Squeeze":
+        return self._replace(parts=tuple(u.T for u in self.parts))
+
+
+class FockDensity:
+    """Truncated density matrix: dims per mode, rho of size prod(dims),
+    and the trace lost to truncation before renormalization.
+
+    States built by this module's constructors carry their sector blocks
+    and spectrum; their rho is assembled from the blocks on first access.
+    """
+
+    __slots__ = ("dims", "trace_deficit", "_rho", "_kind", "_blocks", "_spectrum", "_squeezes")
+
+    def __init__(self, dims: Sequence[int], rho: np.ndarray, trace_deficit: float):
+        self.dims: Tuple[int, ...] = tuple(dims)
+        self.trace_deficit = trace_deficit
+        self._rho = rho
+        # carried structure: partition kind and blocks; the spectrum (flat
+        # basis order) and the squeezes that rotate it into rho, or None
+        self._kind = self._blocks = self._spectrum = self._squeezes = None
+
+    @property
+    def rho(self) -> np.ndarray:
+        """Dense prod(dims) x prod(dims) density matrix."""
+        if self._rho is None:
+            self._rho = _assemble(self.dims, self._kind, self._blocks)
+        return self._rho
+
+
+def _built(dims, trace_deficit, kind, blocks, spectrum=None, squeezes=None) -> FockDensity:
+    state = FockDensity(dims, None, trace_deficit)
+    state._kind, state._blocks = kind, blocks
+    if spectrum is not None:
+        state._spectrum, state._squeezes = spectrum, squeezes
+    return state
 
 
 def fock_thermal(gamma: float, dim: int) -> FockDensity:
@@ -58,26 +107,44 @@ def fock_thermal(gamma: float, dim: int) -> FockDensity:
     ratio = n_bar / (n_bar + 1.0)
     weights = ratio ** np.arange(dim) / (n_bar + 1.0)
     total = float(weights.sum())
-    return FockDensity(
-        dims=(dim,), rho=np.diag(weights / total), trace_deficit=1.0 - total
-    )
+    p = weights / total
+    return _built((dim,), 1.0 - total, "diagonal", p, p, ())
 
 
 def fock_product(*states: FockDensity) -> FockDensity:
     """Tensor product of mode states (mode order = argument order)."""
     dims: Tuple[int, ...] = ()
-    rho = np.eye(1)
     deficit = 0.0
     for st in states:
         dims = dims + tuple(st.dims)
-        rho = np.kron(rho, st.rho)
         deficit = deficit + st.trace_deficit - deficit * st.trace_deficit
-    return FockDensity(dims=dims, rho=rho, trace_deficit=deficit)
+    if all(st._kind == "diagonal" for st in states):
+        diag = reduce(np.kron, [st._blocks for st in states], np.ones(1))
+        exact = all(st._spectrum is not None for st in states)
+        return _built(dims, deficit, "diagonal", diag, diag if exact else None, ())
+    rho = reduce(np.kron, [st.rho for st in states], np.eye(1))
+    return FockDensity(dims, rho, deficit)
+
+
+def _diagonal(dims: Tuple[int, ...], kind: str, blocks) -> np.ndarray:
+    """Flat diagonal of a state held as blocks over a partition."""
+    if kind == "diagonal":
+        return blocks
+    diag = np.empty(int(np.prod(dims, dtype=int)))
+    for idx, block in zip(_partition(dims, kind), blocks):
+        diag[idx] = np.real(np.diagonal(block))
+    return diag
+
+
+def _state_diagonal(state: FockDensity) -> np.ndarray:
+    if state._kind is None:
+        return np.real(np.diagonal(state.rho))
+    return _diagonal(state.dims, state._kind, state._blocks)
 
 
 def mode_populations(state: FockDensity) -> list:
     """Per-mode number populations (marginals of the diagonal)."""
-    diag = np.real(np.diagonal(state.rho)).reshape(state.dims)
+    diag = _state_diagonal(state).reshape(state.dims)
     out = []
     for axis in range(len(state.dims)):
         other = tuple(k for k in range(len(state.dims)) if k != axis)
@@ -85,20 +152,44 @@ def mode_populations(state: FockDensity) -> list:
     return out
 
 
-def _chain_exp(coup: np.ndarray) -> np.ndarray:
-    """Exponential of the antisymmetric tridiagonal generator with
-    sub-diagonal coup (super-diagonal -coup); orthogonal by construction."""
-    k = np.arange(len(coup))
-    gen = np.zeros((len(coup) + 1, len(coup) + 1))
-    gen[k + 1, k] = coup
-    gen[k, k + 1] = -coup
-    return expm(gen)
+class _Chain(NamedTuple):
+    """Eigen-data of a squeeze chain: the symmetric tridiagonal J with
+    off-diagonal couplings c, as eigenvalues and eigenvectors, and the
+    sign pattern (-1)^floor((j - k) / 2)."""
+
+    lam: np.ndarray
+    vec: np.ndarray
+    sign: np.ndarray
+
+
+def _chain(coup: np.ndarray) -> _Chain:
+    k = np.arange(len(coup) + 1)
+    jac = np.diag(coup, 1) + np.diag(coup, -1)
+    lam, vec = np.linalg.eigh(jac)
+    sign = (-1.0) ** ((k[:, None] - k[None, :]) // 2)
+    for a in (lam, vec, sign):
+        a.flags.writeable = False
+    return _Chain(lam, vec, sign)
+
+
+def _chain_exp(chain: _Chain, r: float) -> np.ndarray:
+    """exp(r G), G the antisymmetric tridiagonal generator with sub-diagonal
+    c and super-diagonal -c; orthogonal to roundoff.
+
+    With D = diag(i^k), G = -i D J D^-1, so exp(r G) = D V e^(-i r L) V^T
+    D^-1.  J's spectrum is symmetric (its graph is bipartite), so entries
+    with j - k even sum only cosines and those with j - k odd only sines:
+    exp(r G) = sign * (V (cos + sin)(r L) V^T), one matmul per chain.
+    """
+    rl = r * chain.lam
+    return chain.sign * ((chain.vec * (np.cos(rl) + np.sin(rl))) @ chain.vec.T)
 
 
 @lru_cache(maxsize=None)
 def _two_mode_chains(d0: int, d1: int) -> tuple:
-    """(flat indices, sqrt couplings) of each n0 - n1 sector of a d0 x d1
-    basis, indices ordered along the sector's two-mode squeeze chain."""
+    """(flat indices, chain) of each n0 - n1 sector of a d0 x d1 basis,
+    indices ordered along the sector's two-mode squeeze chain, whose
+    couplings are sqrt((n0 + 1) (n1 + 1))."""
     chains = []
     for diff in range(-(d1 - 1), d0):
         n0 = max(diff, 0)
@@ -106,87 +197,169 @@ def _two_mode_chains(d0: int, d1: int) -> tuple:
         length = min(d0 - n0, d1 - m0)
         idx = np.arange(length) * (d1 + 1) + n0 * d1 + m0
         k = np.arange(length - 1)
-        coup = np.sqrt((n0 + k + 1.0) * (m0 + k + 1.0))
-        idx.flags.writeable = coup.flags.writeable = False
-        chains.append((idx, coup))
+        idx.flags.writeable = False
+        chains.append((idx, _chain(np.sqrt((n0 + k + 1.0) * (m0 + k + 1.0)))))
     return tuple(chains)
 
 
 @lru_cache(maxsize=None)
-def _sector_partitions(dims: Tuple[int, ...]) -> tuple:
-    """Index partitions of the basis left invariant by the squeezes, finest
-    first: n0 - n1 sectors (two modes only), then total-number parity."""
-    parity = np.indices(dims).sum(axis=0).ravel() % 2
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    even.flags.writeable = odd.flags.writeable = False
-    if len(dims) == 2:
-        return tuple(idx for idx, _ in _two_mode_chains(*dims)), (even, odd)
-    return ((even, odd),)
+def _local_chains(d: int) -> Tuple[_Chain, _Chain]:
+    """Chains of (a+^2 - a^2) / 2 over the even and the odd levels of d."""
+    return tuple(
+        _chain(0.5 * np.sqrt((n + 1.0) * (n + 2.0)))
+        for n in (np.arange(start, d - 2, 2, dtype=float) for start in (0, 1))
+    )
 
 
-def _sector_blocks(matrix: np.ndarray, sectors: Sequence[np.ndarray]) -> Optional[list]:
-    """Diagonal blocks of matrix over sectors, or None if any entry
-    between two sectors is nonzero (the structure is read from exact
-    zeros, which every squeeze and product here preserves)."""
-    blocks = [matrix[np.ix_(idx, idx)] for idx in sectors]
-    inside = sum(np.count_nonzero(b) for b in blocks)
-    return blocks if inside == np.count_nonzero(matrix) else None
+# partitions of the basis left invariant by the squeezes, finest first;
+# "parity" is the two total-number parity halves, "whole" one sector
+_KINDS = ("diagonal", "chains", "parity", "whole")
 
 
-def _sectors_of(state: FockDensity) -> Tuple[Optional[tuple], list]:
-    """(sectors, blocks) of the finest partition the state respects;
-    (None, [rho]) when it respects none."""
-    for sectors in _sector_partitions(tuple(state.dims)):
-        blocks = _sector_blocks(state.rho, sectors)
-        if blocks is not None:
-            return sectors, blocks
-    return None, [state.rho]
+@lru_cache(maxsize=None)
+def _orthants(dims: Tuple[int, ...], kind: str) -> tuple:
+    """Per parity half (or for the whole basis): its orthants, the basis
+    states whose levels have given parities per mode, as (parities, grid
+    shape, slice of the sector) in sector order."""
+    orthants = list(itertools.product((0, 1), repeat=len(dims)))
+    if kind == "parity":
+        groups = [[bits for bits in orthants if sum(bits) % 2 == half] for half in (0, 1)]
+    else:
+        groups = [orthants]
+    layout = []
+    for members in groups:
+        start, sector = 0, []
+        for bits in members:
+            shape = tuple(len(range(b, d, 2)) for b, d in zip(bits, dims))
+            size = int(np.prod(shape, dtype=int))
+            sector.append((bits, shape, slice(start, start + size)))
+            start += size
+        layout.append(tuple(sector))
+    return tuple(layout)
 
 
-def _local_squeeze_unitary(d: int, s: float) -> np.ndarray:
-    """exp(s (a+^2 - a^2) / 2) truncated to d levels (parity chains)."""
-    u = np.zeros((d, d))
-    for start in (0, 1):
-        idx = np.arange(start, d, 2)
-        n = idx[:-1].astype(float)
-        u[np.ix_(idx, idx)] = _chain_exp(0.5 * s * np.sqrt((n + 1.0) * (n + 2.0)))
-    return u
+@lru_cache(maxsize=None)
+def _partition(dims: Tuple[int, ...], kind: str) -> tuple:
+    """Flat basis indices of each sector of a partition: chains in squeeze
+    chain order, parity halves and the whole basis orthant by orthant."""
+    if kind == "chains":
+        return tuple(idx for idx, _ in _two_mode_chains(*dims))
+    sectors = []
+    for layout in _orthants(dims, kind):
+        grids = [
+            np.ravel_multi_index(np.ix_(*(np.arange(b, d, 2) for b, d in zip(bits, dims))), dims)
+            for bits, _, _ in layout
+        ]
+        idx = np.concatenate([g.ravel() for g in grids])
+        idx.flags.writeable = False
+        sectors.append(idx)
+    return tuple(sectors)
 
 
-def _apply_two_mode(state: FockDensity, r: float) -> np.ndarray:
-    """u rho u^T for exp(r (a0+ a1+ - a0 a1)), one n0 - n1 chain at a time.
+@lru_cache(maxsize=None)
+def _locate(dims: Tuple[int, ...], kind: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(sector, position within it) of every flat basis index."""
+    size = int(np.prod(dims, dtype=int))
+    owner, pos = np.empty(size, dtype=int), np.empty(size, dtype=int)
+    for s, idx in enumerate(_partition(dims, kind)):
+        owner[idx] = s
+        pos[idx] = np.arange(len(idx))
+    owner.flags.writeable = pos.flags.writeable = False
+    return owner, pos
 
-    The generator conserves n0 - n1, so the truncated unitary is a direct
-    sum of orthogonal chain exponentials and is never assembled.  A
-    sector-diagonal rho is conjugated block by block; any other rho is
-    transformed chain-wise on its rows, then on its columns.
-    """
-    chains = [(idx, _chain_exp(r * coup)) for idx, coup in _two_mode_chains(*state.dims)]
-    blocks = _sector_blocks(state.rho, [idx for idx, _ in chains])
-    if blocks is None:
-        rho = np.array(state.rho, dtype=float)
-        for idx, u in chains:
-            rho[idx, :] = u @ rho[idx, :]
-        for idx, u in chains:
-            rho[:, idx] = rho[:, idx] @ u.T
-        return 0.5 * (rho + rho.T)
-    rho = np.zeros_like(state.rho, dtype=float)
-    for (idx, u), block in zip(chains, blocks):
-        block = u @ block @ u.T
-        rho[np.ix_(idx, idx)] = 0.5 * (block + block.T)
+
+def _structure(state: FockDensity) -> Tuple[str, object]:
+    """(kind, blocks) of the state: carried, or else read from exact zeros
+    in rho, finest partition first."""
+    if state._kind is not None:
+        return state._kind, state._blocks
+    rho = state.rho
+    nonzero = np.count_nonzero(rho)
+    if nonzero == np.count_nonzero(np.diagonal(rho)):
+        return "diagonal", np.real(np.diagonal(rho))
+    for kind in ("chains", "parity") if len(state.dims) == 2 else ("parity",):
+        blocks = [rho[np.ix_(idx, idx)] for idx in _partition(state.dims, kind)]
+        if sum(np.count_nonzero(b) for b in blocks) == nonzero:
+            return kind, blocks
+    idx = _partition(state.dims, "whole")[0]
+    return "whole", [rho[np.ix_(idx, idx)]]
+
+
+def _regroup(dims: Tuple[int, ...], kind: str, blocks, target: str) -> list:
+    """Diagonal blocks over the target partition of a state held as blocks
+    over another.  From a finer partition this is exact; from a coarser one
+    the weight between target sectors is dropped, which leaves every
+    diagonal block, and so every quantity read from them, unchanged."""
+    if kind == target:
+        return blocks
+    sectors = _partition(dims, target)
+    if kind == "diagonal":
+        return [np.diag(blocks[idx]) for idx in sectors]
+    if _KINDS.index(kind) < _KINDS.index(target):
+        owner, pos = _locate(dims, target)
+        dtype = np.result_type(float, *blocks)
+        out = [np.zeros((len(idx), len(idx)), dtype=dtype) for idx in sectors]
+        for idx, block in zip(_partition(dims, kind), blocks):
+            at = pos[idx]
+            out[owner[idx[0]]][np.ix_(at, at)] = block
+        return out
+    owner, pos = _locate(dims, kind)
+    return [blocks[owner[idx[0]]][np.ix_(pos[idx], pos[idx])] for idx in sectors]
+
+
+def _assemble(dims: Tuple[int, ...], kind: str, blocks) -> np.ndarray:
+    """Dense rho from blocks over a partition."""
+    if kind == "diagonal":
+        return np.diag(blocks)
+    size = int(np.prod(dims, dtype=int))
+    rho = np.zeros((size, size), dtype=np.result_type(float, *blocks))
+    for idx, block in zip(_partition(dims, kind), blocks):
+        rho[np.ix_(idx, idx)] = block
     return rho
 
 
-def _apply_local(state: FockDensity, i: int, s: float) -> np.ndarray:
-    """(1 x u x 1) rho (1 x u x 1)^T with u acting on mode i's tensor axes."""
-    dims = tuple(state.dims)
-    n = len(dims)
-    u = _local_squeeze_unitary(dims[i], s)
-    t = state.rho.reshape(dims + dims)
-    t = np.moveaxis(np.tensordot(u, t, axes=(1, i)), 0, i)
-    t = np.moveaxis(np.tensordot(t, u, axes=(n + i, 1)), -1, n + i)
-    rho = t.reshape(state.rho.shape)
-    return 0.5 * (rho + rho.T)
+def _symmetrized(blocks: list) -> list:
+    return [0.5 * (b + b.T) for b in blocks]
+
+
+def _squeeze(dims: Tuple[int, ...], kind: str, blocks, step: _Squeeze) -> Tuple[str, list]:
+    """(kind, blocks) of U rho U^T for one squeeze step U."""
+    if step.kind == "two_mode":
+        if kind == "diagonal":
+            chains = _partition(dims, "chains")
+            return "chains", _symmetrized(
+                [(u * blocks[idx]) @ u.T for u, idx in zip(step.parts, chains)])
+        if kind == "chains":
+            return "chains", _symmetrized([u @ b @ u.T for u, b in zip(step.parts, blocks)])
+        # parity halves or the whole matrix: each chain's rows, then columns
+        owner, pos = _locate(dims, kind)
+        out = [np.array(b, dtype=np.result_type(float, b)) for b in blocks]
+        pairs = list(zip(_partition(dims, "chains"), step.parts))
+        for idx, u in pairs:
+            b, at = out[owner[idx[0]]], pos[idx]
+            b[at, :] = u @ b[at, :]
+        for idx, u in pairs:
+            b, at = out[owner[idx[0]]], pos[idx]
+            b[:, at] = b[:, at] @ u.T
+        return kind, _symmetrized(out)
+    # local: the even/odd level parts act on the mode's axes of each pair
+    # of orthants of the parity halves (or of the whole basis)
+    if kind != "whole":
+        kind, blocks = "parity", _regroup(dims, kind, blocks, "parity")
+    n, i = len(dims), step.mode
+    out = []
+    for layout, block in zip(_orthants(dims, kind), blocks):
+        new = np.empty_like(block, dtype=np.result_type(float, block))
+        for rows, row_shape, row_slice in layout:
+            left = step.parts[rows[i]]
+            for cols, col_shape, col_slice in layout:
+                t = block[row_slice, col_slice].reshape(row_shape + col_shape)
+                t = np.moveaxis(np.tensordot(left, t, axes=(1, i)), 0, i)
+                t = np.tensordot(t, step.parts[cols[i]], axes=(n + i, 1))
+                new[row_slice, col_slice] = np.moveaxis(t, -1, n + i).reshape(
+                    row_slice.stop - row_slice.start, col_slice.stop - col_slice.start)
+        out.append(new)
+    return kind, _symmetrized(out)
 
 
 def fock_apply_squeeze(
@@ -215,21 +388,29 @@ def fock_apply_squeeze(
     Raises:
         NumericalGuardError: truncation defect above defect_tol.
     """
+    dims = state.dims
     if kind == "two_mode":
-        if len(state.dims) != 2 or (modes is not None and tuple(modes) != (0, 1)):
+        if len(dims) != 2 or (modes is not None and tuple(modes) != (0, 1)):
             raise ValidationError("two_mode squeeze acts on modes (0, 1)")
-        rho = _apply_two_mode(state, float(r))
+        # the generator conserves n0 - n1, so the truncated unitary is a
+        # direct sum of chain exponentials
+        chains = _two_mode_chains(*dims)
+        step = _Squeeze("two_mode", 0, tuple(_chain_exp(ch, float(r)) for _, ch in chains))
         touched = (0, 1)
     elif kind == "local":
         i = 0 if modes is None else int(modes)
-        if not 0 <= i < len(state.dims):
+        if not 0 <= i < len(dims):
             raise ValidationError("invalid mode index %r" % (modes,))
-        rho = _apply_local(state, i, float(r))
+        # one chain over the mode's even levels and one over its odd ones
+        chains = _local_chains(dims[i])
+        step = _Squeeze("local", i, tuple(_chain_exp(ch, float(r)) for ch in chains))
         touched = (i,)
     else:
         raise ValidationError("unknown squeeze kind %r" % (kind,))
 
-    out = FockDensity(dims=state.dims, rho=rho, trace_deficit=state.trace_deficit)
+    sector_kind, blocks = _squeeze(dims, *_structure(state), step)
+    squeezes = None if state._spectrum is None else state._squeezes + (step,)
+    out = _built(dims, state.trace_deficit, sector_kind, blocks, state._spectrum, squeezes)
     pops = mode_populations(out)
     for i in touched:
         defect = float(pops[i][-2:].sum())
@@ -241,33 +422,58 @@ def fock_apply_squeeze(
     return out
 
 
-def _is_diagonal(matrix: np.ndarray) -> bool:
-    return np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix))
-
-
 def _self_term(state: FockDensity) -> float:
-    """Tr rho log rho by spectral calculus (0 log 0 = 0), per sector."""
-    if _is_diagonal(state.rho):
-        p = np.real(np.diagonal(state.rho))
+    """Tr rho log rho by spectral calculus (0 log 0 = 0): the carried
+    spectrum, else the diagonal or per-sector eigenvalues."""
+    if state._spectrum is not None:
+        p = state._spectrum
     else:
-        p = np.concatenate([np.linalg.eigvalsh(b) for b in _sectors_of(state)[1]])
+        kind, blocks = _structure(state)
+        if kind == "diagonal":
+            p = blocks
+        else:
+            p = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
     if p.min() < -1e-10:
         raise ValidationError("matrix is not positive semidefinite")
     p = p[p > 1e-18]
     return float(np.sum(p * np.log(p)))
 
 
+def _pushed_back_diagonal(rho: FockDensity, squeezes: tuple) -> np.ndarray:
+    """Diagonal of U^T rho U, U the product of the squeezes in the order
+    applied: rho is pushed back through their transposes in reverse."""
+    if not squeezes:
+        return _state_diagonal(rho)
+    dims = rho.dims
+    kind, blocks = _structure(rho)
+    for step in reversed(squeezes[1:]):
+        kind, blocks = _squeeze(dims, kind, blocks, step.transposed())
+    # only the diagonal is read after the first squeeze, and it depends only
+    # on rho's blocks over the sectors that squeeze mixes within
+    first = squeezes[0]
+    target = "chains" if first.kind == "two_mode" else "parity"
+    kind, blocks = _squeeze(dims, target, _regroup(dims, kind, blocks, target), first.transposed())
+    return _diagonal(dims, kind, blocks)
+
+
 def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
     """Tr rho log rho - Tr rho log sigma on the kept subspace, in nats.
 
-    Diagonal sigma uses its exact diagonal down to underflow, and rho's
-    mass on exactly zero entries is left out; otherwise sigma is
+    A sigma built by this module carries its exact spectrum q and the
+    squeezes U whose product holds its eigenvectors, so the cross term is
+    sum_k log q_k [U^T rho U]_kk with no eigensolver.  If rho puts more
+    than 1e-7 of its mass on directions with q below 1e-14 the value is
+    divergent and +inf is returned (with a warning); smaller mass there
+    is charged at log q, and left out where q underflows to 0.
+
+    A user-built sigma, or the output of truncate, carries no spectrum.
+    When diagonal it uses its exact diagonal down to underflow, and rho's
+    mass on exactly zero entries is left out; otherwise it is
     eigendecomposed (per sector when it has no weight between sectors;
     rho then enters only through its diagonal sector blocks) and
     eigenvalues below 1e-14 (eigh noise level) are floored before the
-    log, so rho's mass there is charged at log(1e-14).  If rho puts more
-    than 1e-7 of its mass on dead/floored directions the value is
-    divergent and +inf is returned (with a warning).
+    log, so rho's mass there is charged at log(1e-14).  The same 1e-7
+    support rule applies to the dead/floored directions.
 
     Args:
         rho, sigma: density matrices with matching dims.
@@ -275,26 +481,29 @@ def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
     if rho.dims != sigma.dims:
         raise ValidationError("dims mismatch between rho and sigma")
     self_term = _self_term(rho)
-    if _is_diagonal(sigma.rho):
-        q = np.real(np.diagonal(sigma.rho)).copy()
-        masses = np.real(np.diagonal(rho.rho))
-        dead = q < 1e-300
-        # exact zeros: the mass there is dropped (charged at log 1)
-        q[dead] = 1.0
-    else:
-        sectors, sig_blocks = _sectors_of(sigma)
-        if sectors is None:
-            rho_blocks = [rho.rho]
-        else:
-            rho_blocks = [rho.rho[np.ix_(idx, idx)] for idx in sectors]
-        qs, ms = [], []
-        for s_blk, r_blk in zip(sig_blocks, rho_blocks):
-            q, v = np.linalg.eigh(s_blk)
-            qs.append(q)
-            ms.append(np.einsum("ik,ik->k", v, r_blk @ v))
-        q, masses = np.concatenate(qs), np.concatenate(ms)
+    if sigma._spectrum is not None:
+        q = sigma._spectrum
+        masses = _pushed_back_diagonal(rho, sigma._squeezes)
         dead = q < SIGMA_FLOOR
-        q = np.maximum(q, SIGMA_FLOOR)
+        log_q = np.log(np.where(q > 0.0, q, 1.0))
+    else:
+        kind, sig_blocks = _structure(sigma)
+        if kind == "diagonal":
+            q = sig_blocks.copy()
+            masses = _state_diagonal(rho)
+            dead = q < 1e-300
+            # exact zeros: the mass there is dropped (charged at log 1)
+            q[dead] = 1.0
+        else:
+            qs, ms = [], []
+            for s_blk, r_blk in zip(sig_blocks, _regroup(rho.dims, *_structure(rho), kind)):
+                q, v = np.linalg.eigh(s_blk)
+                qs.append(q)
+                ms.append(np.einsum("ik,ik->k", v, r_blk @ v))
+            q, masses = np.concatenate(qs), np.concatenate(ms)
+            dead = q < SIGMA_FLOOR
+            q = np.maximum(q, SIGMA_FLOOR)
+        log_q = np.log(q)
     lost = float(masses[dead].sum())
     if lost > SUPPORT_MASS_TOL:
         warnings.warn(
@@ -302,7 +511,7 @@ def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
             "relative entropy diverges" % lost
         )
         return float("inf")
-    cross = float(masses @ np.log(q))
+    cross = float(masses @ log_q)
     return self_term - cross
 
 
@@ -312,18 +521,38 @@ def fock_entropy(state: FockDensity) -> float:
 
 
 def truncate(state: FockDensity, drop: int) -> FockDensity:
-    """Remove the top `drop` levels of every mode and renormalize."""
-    new_dims = tuple(d - drop for d in state.dims)
+    """Remove the top `drop` levels of every mode and renormalize.
+
+    A built state keeps its partition (not its spectrum)."""
+    if drop < 0:
+        raise ValidationError("drop must be >= 0, got %r" % (drop,))
+    dims = state.dims
+    new_dims = tuple(d - drop for d in dims)
     if min(new_dims) < 2:
         raise ValidationError("truncation would leave fewer than 2 levels")
-    tensor = state.rho.reshape(state.dims + state.dims)
-    sl = tuple(slice(0, d) for d in new_dims)
-    tensor = tensor[sl + sl]
-    size = int(np.prod(new_dims, dtype=int))
-    rho = tensor.reshape(size, size)
-    tr = float(np.trace(rho))
+    kept = tuple(slice(0, d) for d in new_dims)
+    if state._kind is None:
+        size = int(np.prod(new_dims, dtype=int))
+        rho = state.rho.reshape(dims + dims)[kept + kept].reshape(size, size)
+        tr = float(np.trace(rho))
+        deficit = 1.0 - (1.0 - state.trace_deficit) * tr
+        return FockDensity(dims=new_dims, rho=rho / tr, trace_deficit=deficit)
+    kind = state._kind
+    if kind == "diagonal":
+        blocks = state._blocks.reshape(dims)[kept].ravel()
+    else:
+        # each sector keeps its states below the new cutoffs, in order; the
+        # sectors left non-empty are those of the new dims' partition
+        blocks = []
+        for idx, block in zip(_partition(dims, kind), state._blocks):
+            levels = np.array(np.unravel_index(idx, dims))
+            keep = np.flatnonzero(np.all(levels < np.array(new_dims)[:, None], axis=0))
+            if keep.size:
+                blocks.append(block[np.ix_(keep, keep)])
+    tr = float(np.sum(_diagonal(new_dims, kind, blocks)))
     deficit = 1.0 - (1.0 - state.trace_deficit) * tr
-    return FockDensity(dims=new_dims, rho=rho / tr, trace_deficit=deficit)
+    blocks = blocks / tr if kind == "diagonal" else [b / tr for b in blocks]
+    return _built(new_dims, deficit, kind, blocks)
 
 
 def fock_truncation_sensitivity(

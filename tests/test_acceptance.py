@@ -96,6 +96,31 @@ def test_fock_oracle_agreement_30_states():
     assert elapsed <= 120.0
 
 
+def test_fock_oracle_agreement_at_dims_60_and_80():
+    # built states carry their chain blocks, so these cutoffs fit in memory
+    # (a dense rho at dim 80 would take 328 MB) and the truncation error
+    # falls far below the dim-45 tolerance
+    rng = np.random.default_rng(606)
+    start = time.monotonic()
+    for _ in range(10):
+        alpha_rho, alpha_sig, (g_rho, g_sig, r_rho, r_sig) = oracle_pair(rng)
+        gauss = relative_entropy(alpha_rho, alpha_sig).value
+        for dim in (60, 80):
+            f_rho = fock_apply_squeeze(
+                fock_product(fock_thermal(g_rho[0], dim), fock_thermal(g_rho[1], dim)),
+                "two_mode",
+                r_rho,
+            )
+            f_sig = fock_apply_squeeze(
+                fock_product(fock_thermal(g_sig[0], dim), fock_thermal(g_sig[1], dim)),
+                "two_mode",
+                r_sig,
+            )
+            assert abs(gauss - fock_relative_entropy(f_rho, f_sig)) <= 1e-10
+    elapsed = time.monotonic() - start
+    assert elapsed <= 30.0
+
+
 def test_thermal_anchor_matches_both_routes():
     gauss = relative_entropy(thermal_cm(1.0), thermal_cm(1.5)).value
     fock = fock_relative_entropy(fock_thermal(1.0, 30), fock_thermal(1.5, 30))

@@ -366,6 +366,16 @@ def test_verify_roundtrip_suite(capsys):
     assert lines[-1] == "overall    PASS"
 
 
+@pytest.mark.parametrize("dim_args", [[], ["--dim", "80"]], ids=["default", "dim80"])
+def test_verify_oracle_suite(capsys, dim_args):
+    code, out = run(capsys, ["verify", "--suite", "oracle"] + dim_args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("oracle") and "PASS" in lines[0]
+    assert ("(dim 80," if dim_args else "(dim 30,") in lines[0]
+    assert lines[-1] == "overall    PASS"
+
+
 def test_verify_reports_failure(capsys, monkeypatch):
     monkeypatch.setattr("gree.cli._verify_roundtrip", lambda seed: (False, "forced"))
     code, out = run(capsys, ["verify", "--suite", "roundtrip"])

@@ -254,13 +254,9 @@ def test_squeezes_leave_exact_zeros_between_sectors():
     assert np.count_nonzero(local.rho[off_sector & ~off_parity]) > 0
 
 
-def test_dead_sigma_mass_is_charged_on_a_locally_squeezed_pair():
-    # a locally squeezed rho puts ~1e-11 of its mass on dense-sigma
-    # eigen-directions below SIGMA_FLOOR; leaving that mass out moved the
-    # dim-45 value about 4.6e-10 away from the Gaussian one
-    g_rho = (0.980387431116233, 0.6266026375380961)
-    g_sig = (1.1614420844495412, 1.2730669677773594)
-    r_rho, r_sig, s_local = 0.0780556545197933, 0.27364870546278375, 0.13904883520678216
+def _local_pair_errors(g_rho, g_sig, r_rho, r_sig, s_local):
+    """|gaussian - fock| at dims 30 and 45 for a benchmark-style pair whose
+    rho is locally squeezed on mode 0 after its two-mode squeeze."""
     s_rho = elementary_transform("two_mode_squeeze_qq", r_rho)
     s_sig = elementary_transform("two_mode_squeeze_qq", r_sig)
     local = np.diag([math.exp(s_local), 1.0, math.exp(-s_local), 1.0])
@@ -277,4 +273,87 @@ def test_dead_sigma_mass_is_charged_on_a_locally_squeezed_pair():
             fock_product(fock_thermal(g_sig[0], dim), fock_thermal(g_sig[1], dim)),
             "two_mode", r_sig)
         errors[dim] = abs(fock_relative_entropy(rho, sigma) - gauss)
+    return errors
+
+
+def test_dead_sigma_mass_is_charged_on_a_locally_squeezed_pair():
+    # a locally squeezed rho puts ~1e-11 of its mass on sigma eigen-directions
+    # below SIGMA_FLOOR; leaving that mass out moved the dim-45 value about
+    # 4.6e-10 away from the Gaussian one
+    errors = _local_pair_errors(
+        (0.980387431116233, 0.6266026375380961),
+        (1.1614420844495412, 1.2730669677773594),
+        0.0780556545197933, 0.27364870546278375, 0.13904883520678216)
     assert errors[45] <= errors[30]
+
+
+@pytest.mark.parametrize(
+    "g_rho, g_sig, r_rho, r_sig, s_local",
+    [
+        ((0.8635538775086699, 0.865477834293521), (1.1502692382677204, 1.2010507330189564),
+         -0.34736535623057896, -0.17436142437382113, 0.1483550676494623),
+        ((0.8508931588441111, 0.8618533860385732), (1.1294092630007901, 1.1601588016206494),
+         0.3441060953308889, 0.18285143328180364, 0.13137554829566253),
+    ],
+    ids=["seed7-round127", "seed24-round69"],
+)
+def test_sub_floor_sigma_mass_is_charged_at_the_carried_spectrum(g_rho, g_sig, r_rho, r_sig, s_local):
+    # benchmark pool pairs where charging rho's sub-floor mass at
+    # log(SIGMA_FLOOR) put dim 45 further from the Gaussian value than
+    # dim 30 (8.2e-12 vs 1.2e-12 and 3.2e-12 vs 2.2e-12); a built sigma's
+    # spectrum is exact, so that mass is charged at log q
+    errors = _local_pair_errors(g_rho, g_sig, r_rho, r_sig, s_local)
+    assert errors[45] <= errors[30] + 1e-12
+
+
+def _built_states():
+    product = _pair(0.9, 1.0)
+    two_mode = fock_apply_squeeze(product, "two_mode", 0.3)
+    two_mode_local = fock_apply_squeeze(two_mode, "local", -0.15, 0)
+    local = fock_apply_squeeze(product, "local", 0.2, 1)
+    return {
+        "product": product,
+        "two_mode": two_mode,
+        "local": local,
+        "local-two_mode": fock_apply_squeeze(local, "two_mode", -0.25),
+        "two_mode-local": two_mode_local,
+        "truncate-chains": truncate(two_mode, 3),
+        "truncate-parity": truncate(two_mode_local, 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_built_states()))
+def test_carried_structure_matches_scan_path(name):
+    # a built state and its user-built copy (structure read from exact
+    # zeros, spectra from eigensolvers) give the same entropies on either
+    # side of the relative entropy
+    state = _built_states()[name]
+    foreign = FockDensity(state.dims, state.rho, state.trace_deficit)
+    cold = fock_apply_squeeze(_pair(0.6, 0.7), "two_mode", 0.2)
+    hot = fock_apply_squeeze(_pair(1.2, 1.1), "two_mode", 0.1)
+    if state.dims != cold.dims:
+        cold, hot = truncate(cold, DIM - state.dims[0]), truncate(hot, DIM - state.dims[0])
+    assert abs(fock_entropy(state) - fock_entropy(foreign)) <= 1e-12
+    for rho, sigma in ((state, hot), (cold, state), (state, state)):
+        as_foreign = (foreign if rho is state else rho, foreign if sigma is state else sigma)
+        got = fock_relative_entropy(rho, sigma)
+        assert abs(got - fock_relative_entropy(*as_foreign)) <= 1e-12
+    if name.startswith("truncate"):
+        assert state._spectrum is None
+    else:
+        spectrum = np.sort(state._spectrum)
+        np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(state.rho), rtol=0, atol=1e-13)
+
+
+def test_truncate_of_built_state_matches_dense_truncate():
+    for state in _built_states().values():
+        foreign = FockDensity(state.dims, state.rho, state.trace_deficit)
+        small, expect = truncate(state, 2), truncate(foreign, 2)
+        assert small.dims == expect.dims
+        np.testing.assert_allclose(small.rho, expect.rho, rtol=0, atol=1e-15)
+        assert abs(small.trace_deficit - expect.trace_deficit) <= 1e-15
+
+
+def test_truncate_rejects_negative_drop():
+    with pytest.raises(ValidationError, match="drop"):
+        truncate(_pair(0.9, 1.0), -1)
