@@ -10,6 +10,14 @@ rotations and squeezes of the first (qq/pp) and second (qp/pq) kinds each
 remove one of the four inter-mode couplings.  Iterating pair by pair
 drives beta diagonal and sigma into rho; monitoring separability along
 the way locates border states that upper-bound the GREE.
+
+A congruence leaves beta's symplectic spectrum, and so the self term
+S(rho) = sum_j g(gamma_rho_j - 1/2), unchanged: the state carries S(rho)
+from make_state on, and descend checks beta's spectrum against rho's once
+before it returns.  Each transform is a rotation or squeeze on one or two
+coordinate planes, so it is applied to the two or four rows and columns
+of beta (and columns of S_sigma) it touches.  The border monitor asks
+only for the PPT verdict, not for the border residual.
 """
 
 import math
@@ -18,7 +26,13 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import NumericalGuardError, SearchFailureError, ValidationError
-from .gaussian import bosonic_entropy, check_physical, is_separable
+from .gaussian import (
+    _ppt_verdict,
+    bosonic_entropy_sum,
+    check_physical,
+    em_spectrum,
+    gamma_of_em_spectrum,
+)
 from .symplectic import symplectic_eigenvalues, williamson
 
 # convergence and safety knobs for descend()
@@ -36,6 +50,8 @@ PARAM_FLOOR = 1e-15
 COUPLING_FLOOR = 1e-14
 # slack allowed on the per-step monotonicity of the objective
 MONOTONE_SLACK = 1e-12
+# relative drift allowed between beta's symplectic spectrum and rho's
+SPECTRUM_TOL = 1e-8
 
 _UNCERTAINTY_TOL = 1e-9
 
@@ -46,17 +62,15 @@ class DescentState(NamedTuple):
     step_log holds (kind, params, objective after) triples; params is
     (mode, value) for local transforms, (i, j, value) for pair transforms,
     () for the initial alignment and (border value,) for a border
-    crossing marker."""
+    crossing marker.  self_entropy is S(rho), which no congruence of beta
+    changes; None makes the next transform compute it from beta."""
 
     s_sigma: np.ndarray
     gammas_sigma: np.ndarray
     beta: np.ndarray
     objective: float
     step_log: Tuple
-
-
-def _g_sum(values: np.ndarray) -> float:
-    return float(sum(bosonic_entropy(max(v, 0.0)) for v in values))
+    self_entropy: Optional[float] = None
 
 
 def _beta_bar(beta: np.ndarray) -> np.ndarray:
@@ -66,16 +80,23 @@ def _beta_bar(beta: np.ndarray) -> np.ndarray:
 
 
 def _self_entropy(beta: np.ndarray) -> float:
-    return _g_sum(symplectic_eigenvalues(beta) - 0.5)
+    return bosonic_entropy_sum(symplectic_eigenvalues(beta) - 0.5)
 
 
-def _general_objective(beta: np.ndarray, gammas_sigma: np.ndarray) -> float:
+def _carried_self_entropy(state: DescentState) -> float:
+    if state.self_entropy is None:
+        return _self_entropy(state.beta)
+    return state.self_entropy
+
+
+def _general_objective(
+    beta: np.ndarray, gammas_sigma: np.ndarray, self_entropy: float
+) -> float:
     """S(rho||sigma) for arbitrary (not necessarily aligned) gamma_sigma."""
     bar = _beta_bar(beta)
     g = np.asarray(gammas_sigma, dtype=float)
-    mt = np.log((2.0 * g + 1.0) / (2.0 * g - 1.0))
-    cross = float(np.sum(0.5 * np.log(g * g - 0.25) + bar * mt))
-    return -_self_entropy(beta) + cross
+    cross = float(np.sum(0.5 * np.log(g * g - 0.25) + bar * em_spectrum(g)))
+    return -self_entropy + cross
 
 
 def make_state(
@@ -95,13 +116,15 @@ def make_state(
     s_inv = np.linalg.inv(s_sigma)
     beta = s_inv @ alpha_rho @ s_inv.T
     beta = 0.5 * (beta + beta.T)
-    objective = _general_objective(beta, gammas_sigma)
+    self_entropy = _self_entropy(beta)
+    objective = _general_objective(beta, gammas_sigma, self_entropy)
     return DescentState(
         s_sigma=s_sigma,
         gammas_sigma=gammas_sigma,
         beta=beta,
         objective=objective,
         step_log=tuple(step_log),
+        self_entropy=self_entropy,
     )
 
 
@@ -109,7 +132,7 @@ def initial_state(alpha_rho: np.ndarray, sigma0_em: np.ndarray) -> DescentState:
     """Start from sigma given as an exponential matrix."""
     w = williamson(np.asarray(sigma0_em, dtype=float))
     s_sigma = np.linalg.inv(w.s).T
-    gammas = 0.5 / np.tanh(0.5 * w.gammas)
+    gammas = gamma_of_em_spectrum(w.gammas)
     return make_state(alpha_rho, s_sigma, gammas)
 
 
@@ -122,7 +145,7 @@ def sigma_em_of(state: DescentState) -> np.ndarray:
     g = np.asarray(state.gammas_sigma, dtype=float)
     if np.any(g <= 0.5):
         raise NumericalGuardError("sigma is on the pure-state boundary")
-    mt = np.log((2.0 * g + 1.0) / (2.0 * g - 1.0))
+    mt = em_spectrum(g)
     s_inv = np.linalg.inv(state.s_sigma)
     m = s_inv.T * np.concatenate([mt, mt]) @ s_inv
     return 0.5 * (m + m.T)
@@ -133,7 +156,7 @@ def descent_objective(state: DescentState) -> float:
     bar = _beta_bar(state.beta)
     if np.any(bar < 0.5 - _UNCERTAINTY_TOL):
         raise ValidationError("beta violates the uncertainty bound beta_bar >= 1/2")
-    return _g_sum(bar - 0.5) - _self_entropy(state.beta)
+    return bosonic_entropy_sum(bar - 0.5) - _self_entropy(state.beta)
 
 
 def align_gammas(state: DescentState) -> DescentState:
@@ -141,13 +164,13 @@ def align_gammas(state: DescentState) -> DescentState:
     bar = _beta_bar(state.beta)
     if np.any(bar < 0.5 - _UNCERTAINTY_TOL):
         raise ValidationError("beta violates the uncertainty bound beta_bar >= 1/2")
-    objective = _g_sum(bar - 0.5) - _self_entropy(state.beta)
-    return DescentState(
-        s_sigma=state.s_sigma,
+    self_entropy = _carried_self_entropy(state)
+    objective = bosonic_entropy_sum(bar - 0.5) - self_entropy
+    return state._replace(
         gammas_sigma=bar,
-        beta=state.beta,
         objective=objective,
         step_log=state.step_log + (("align", (), objective),),
+        self_entropy=self_entropy,
     )
 
 
@@ -163,35 +186,44 @@ def _sqz(r: float) -> np.ndarray:
     return np.array([[ch, sh], [sh, ch]])
 
 
-def transform_matrix(n: int, kind: str, params: Tuple) -> np.ndarray:
-    """Elementary descent transform embedded in 2n dimensions."""
-    t = np.eye(2 * n)
+def _planes(n: int, kind: str, params: Tuple) -> Tuple:
+    """The coordinate planes a transform acts on, each with its 2x2 block."""
     if kind == "local_rotation":
         i, theta = params
-        idx = [i, n + i]
-        t[np.ix_(idx, idx)] = _rot(theta)
-    elif kind == "local_squeeze":
+        return (((i, n + i), _rot(theta)),)
+    if kind == "local_squeeze":
         i, s = params
-        t[i, i] = s
-        t[n + i, n + i] = 1.0 / s
-    elif kind == "rotation_qq":
+        return (((i, n + i), np.diag([s, 1.0 / s])),)
+    if kind == "rotation_qq":
         i, j, theta = params
-        t[np.ix_([i, j], [i, j])] = _rot(theta)
-        t[np.ix_([n + i, n + j], [n + i, n + j])] = _rot(theta)
-    elif kind == "squeeze_qq":
+        return (((i, j), _rot(theta)), ((n + i, n + j), _rot(theta)))
+    if kind == "squeeze_qq":
         i, j, r = params
-        t[np.ix_([i, j], [i, j])] = _sqz(r)
-        t[np.ix_([n + i, n + j], [n + i, n + j])] = _sqz(-r)
-    elif kind == "rotation_qp":
+        return (((i, j), _sqz(r)), ((n + i, n + j), _sqz(-r)))
+    if kind == "rotation_qp":
         i, j, theta = params
-        t[np.ix_([i, n + j], [i, n + j])] = _rot(theta)
-        t[np.ix_([n + i, j], [n + i, j])] = _rot(-theta)
-    elif kind == "squeeze_qp":
+        return (((i, n + j), _rot(theta)), ((n + i, j), _rot(-theta)))
+    if kind == "squeeze_qp":
         i, j, r = params
-        t[np.ix_([i, n + j], [i, n + j])] = _sqz(r)
-        t[np.ix_([n + i, j], [n + i, j])] = _sqz(r)
-    else:
-        raise ValidationError("unknown transform kind %r" % (kind,))
+        return (((i, n + j), _sqz(r)), ((n + i, j), _sqz(r)))
+    raise ValidationError("unknown transform kind %r" % (kind,))
+
+
+def _restricted(n: int, kind: str, params: Tuple) -> Tuple[list, np.ndarray]:
+    """The coordinates a transform touches and its matrix on them."""
+    planes = _planes(n, kind, params)
+    idx = [k for plane, _ in planes for k in plane]
+    sub = np.zeros((len(idx), len(idx)))
+    for p, (_, block) in enumerate(planes):
+        sub[2 * p:2 * p + 2, 2 * p:2 * p + 2] = block
+    return idx, sub
+
+
+def transform_matrix(n: int, kind: str, params: Tuple) -> np.ndarray:
+    """Elementary descent transform embedded in 2n dimensions."""
+    idx, sub = _restricted(n, kind, params)
+    t = np.eye(2 * n)
+    t[np.ix_(idx, idx)] = sub
     return t
 
 
@@ -202,22 +234,31 @@ def _inverse_params(kind: str, params: Tuple) -> Tuple:
 
 
 def _apply(state: DescentState, kind: str, params: Tuple) -> DescentState:
-    """Congruence-transform beta, update sigma accordingly, realign."""
+    """Congruence-transform beta, update sigma accordingly, realign.
+
+    Only the rows and columns the transform touches change: beta's rows,
+    then its columns, and the columns of S_sigma (by the inverse)."""
     n = state.beta.shape[0] // 2
-    t = transform_matrix(n, kind, params)
-    beta = t @ state.beta @ t.T
+    idx, t = _restricted(n, kind, params)
+    _, t_inv = _restricted(n, kind, _inverse_params(kind, params))
+    beta = state.beta.copy()
+    beta[idx] = t @ beta[idx]
+    beta[:, idx] = beta[:, idx] @ t.T
     beta = 0.5 * (beta + beta.T)
-    s_sigma = state.s_sigma @ transform_matrix(n, kind, _inverse_params(kind, params))
+    s_sigma = state.s_sigma.copy()
+    s_sigma[:, idx] = s_sigma[:, idx] @ t_inv
     bar = _beta_bar(beta)
     if np.any(bar < 0.5 - _UNCERTAINTY_TOL):
         raise NumericalGuardError("transform left beta numerically indefinite")
-    objective = _g_sum(bar - 0.5) - _self_entropy(beta)
+    self_entropy = _carried_self_entropy(state)
+    objective = bosonic_entropy_sum(bar - 0.5) - self_entropy
     return DescentState(
         s_sigma=s_sigma,
         gammas_sigma=bar,
         beta=beta,
         objective=objective,
         step_log=state.step_log + ((kind, params, objective),),
+        self_entropy=self_entropy,
     )
 
 
@@ -334,7 +375,7 @@ def _bisect_crossing(
     def at(t: float) -> DescentState:
         if kind == "align":
             g = (1.0 - t) * state.gammas_sigma + t * _beta_bar(state.beta)
-            obj = _general_objective(state.beta, g)
+            obj = _general_objective(state.beta, g, _carried_self_entropy(state))
             return state._replace(
                 gammas_sigma=g, objective=obj,
                 step_log=state.step_log + (("align", (), obj),),
@@ -348,12 +389,21 @@ def _bisect_crossing(
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if is_separable(sigma_cm_of(at(mid)))[0] == was_separable:
+        if _ppt_verdict(sigma_cm_of(at(mid))) == was_separable:
             lo = mid
         else:
             hi = mid
     t_sep = lo if was_separable else hi
     return at(t_sep)
+
+
+def _check_spectrum(state: DescentState, gammas_rho: np.ndarray) -> None:
+    """Guard: the congruences must have kept beta's symplectic spectrum."""
+    drift = float(np.max(np.abs(symplectic_eigenvalues(state.beta) - gammas_rho)))
+    if drift > SPECTRUM_TOL * max(1.0, float(gammas_rho[0])):
+        raise NumericalGuardError(
+            "beta's symplectic spectrum drifted from rho's by %.3e" % drift
+        )
 
 
 def descend(
@@ -367,7 +417,9 @@ def descend(
     separability flip along the way is bisected to the border; the last
     (lowest) border iterate and its exponential matrix are returned, and
     each crossing leaves a ("crossing", (value,), objective) marker in
-    the step log."""
+    the step log.  With either stop, beta's symplectic spectrum must still
+    match rho's within SPECTRUM_TOL * max(1, gamma_max), else
+    NumericalGuardError."""
     if stop not in ("at_rho", "at_border"):
         raise ValidationError("stop must be 'at_rho' or 'at_border'")
     alpha_rho = np.asarray(alpha_rho, dtype=float)
@@ -377,11 +429,11 @@ def descend(
         raise ValidationError("border monitoring is defined for two-mode states")
 
     state = initial_state(alpha_rho, sigma0)
-    separable = is_separable(sigma_cm_of(state))[0] if monitor else False
+    separable = _ppt_verdict(sigma_cm_of(state)) if monitor else False
     aligned = align_gammas(state)
     border: Optional[DescentState] = None
     if monitor:
-        now = is_separable(sigma_cm_of(aligned))[0]
+        now = _ppt_verdict(sigma_cm_of(aligned))
         if now != separable:
             border = _bisect_crossing(state, "align", (), separable)
             marker = ("crossing", (border.objective,), border.objective)
@@ -398,7 +450,7 @@ def descend(
             replay = before
             for kind, params, _ in stepped.step_log[len(before.step_log):]:
                 nxt = _apply(replay, kind, params)
-                now = is_separable(sigma_cm_of(nxt))[0]
+                now = _ppt_verdict(sigma_cm_of(nxt))
                 if now != separable:
                     border = _bisect_crossing(replay, kind, params, separable)
                     marker = ("crossing", (border.objective,), border.objective)
@@ -417,6 +469,9 @@ def descend(
             % (MAX_ITERS, state.objective, len(state.step_log))
         )
 
+    _check_spectrum(state, gammas_rho)
+    if border is not None:
+        _check_spectrum(border, gammas_rho)
     if stop == "at_rho":
         bar = np.sort(_beta_bar(state.beta))[::-1]
         if state.objective > AT_RHO_TOL or np.max(np.abs(bar - gammas_rho)) > 1e-6:

@@ -60,6 +60,13 @@ def bosonic_entropy(x: float) -> float:
     return float((x + 1) * np.log1p(x) - x * np.log(x))
 
 
+def bosonic_entropy_sum(x: np.ndarray) -> float:
+    """sum_j g(x_j) over occupancies x_j, each clamped at 0 from below."""
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    x = x[x != 0.0]
+    return float(np.sum((x + 1.0) * np.log1p(x) - x * np.log(x)))
+
+
 def check_physical(alpha: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of alpha after checking gamma_j >= 1/2."""
     gammas = symplectic_eigenvalues(alpha)
@@ -276,24 +283,32 @@ def border_residual(sf: StandardForm) -> float:
     return float(4.0 * det_q * det_p - trace - 2.0 * (abs(prod) - prod) + 0.25)
 
 
-def is_separable(alpha: np.ndarray) -> Tuple[bool, float]:
-    """PPT separability test for a two-mode CM, with the border residual.
+def _ppt_verdict(alpha: np.ndarray) -> bool:
+    """PPT verdict alone: is the partially transposed two-mode CM physical?
 
-    Partial transposition flips the sign of the second mode's momentum;
-    the state is separable iff the flipped CM is still physical.
-
-    Returns:
-        (verdict, residual) where residual is the standard-form border
-        expression, <= 1e-8 in magnitude exactly for border states.
+    Partial transposition flips the sign of the second mode's momentum.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (4, 4):
         raise ValidationError("separability test is defined for two-mode CMs")
     check_physical(alpha)
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    tilde = flip @ alpha @ flip
-    gammas = symplectic_eigenvalues(tilde)
-    verdict = bool(gammas[-1] >= 0.5 - PHYSICAL_TOL)
+    tilde = alpha.copy()
+    tilde[3, :] = -tilde[3, :]
+    tilde[:, 3] = -tilde[:, 3]
+    return bool(symplectic_eigenvalues(tilde)[-1] >= 0.5 - PHYSICAL_TOL)
+
+
+def is_separable(alpha: np.ndarray) -> Tuple[bool, float]:
+    """PPT separability test for a two-mode CM, with the border residual.
+
+    The state is separable iff the CM with the second mode's momentum
+    flipped is still physical.
+
+    Returns:
+        (verdict, residual) where residual is the standard-form border
+        expression, <= 1e-8 in magnitude exactly for border states.
+    """
+    verdict = _ppt_verdict(alpha)
     residual = border_residual(standard_form(alpha))
     return verdict, residual
 

@@ -23,17 +23,27 @@ class WilliamsonResult(NamedTuple):
     gammas: np.ndarray
 
 
+_FORMS = {}
+
+
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n canonical form Delta = [[0, I], [-I, 0]].
+
+    The array is built once per n and shared, so it is read-only.
 
     Args:
         n: mode count, n >= 1.
     """
     if n < 1:
         raise ValidationError("mode count must be >= 1")
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]])
+    delta = _FORMS.get(n)
+    if delta is None:
+        eye = np.eye(n)
+        zero = np.zeros((n, n))
+        delta = np.block([[zero, eye], [-eye, zero]])
+        delta.setflags(write=False)
+        _FORMS[n] = delta
+    return delta
 
 
 def is_symplectic(s: np.ndarray, tol: float = 1e-10) -> bool:

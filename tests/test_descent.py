@@ -29,7 +29,9 @@ from gree import (
     tmst_cm,
     transform_matrix,
 )
+from gree import descent
 from gree.descent import make_state
+from gree.gaussian import _ppt_verdict
 from conftest import draw_separable_em, thermal_cm
 
 RHO_TWO_MODE = standard_cm(1.2, 0.9, 0.7, 0.6)
@@ -280,3 +282,103 @@ def test_descend_border_minimum_approaches_the_measure():
         values.append(border_state.objective)
     assert all(v >= best - 1e-6 for v in values)
     assert min(values) - best < 1e-2
+
+
+PINNED_TRANSFORMS = [
+    (n, kind, params)
+    for n in (1, 2, 3)
+    for kind, params in [
+        ("local_rotation", (n - 1, 0.7)),
+        ("local_squeeze", (0, 1.3)),
+        ("rotation_qq", (0, n - 1, 0.5)),
+        ("squeeze_qq", (0, n - 1, 0.4)),
+        ("rotation_qp", (n - 1, 0, -0.6)),
+        ("squeeze_qp", (0, n - 1, 0.3)),
+    ]
+    if n > 1 or kind.startswith("local")
+]
+
+
+@pytest.mark.parametrize("n, kind, params", PINNED_TRANSFORMS)
+def test_apply_on_touched_rows_matches_the_dense_congruence(n, kind, params):
+    rng = np.random.default_rng(40 + n)
+    alpha = random_cm(rng, n, 0.7, 1.8)
+    s_sigma = transform_matrix(n, "local_rotation", (0, 0.3)) @ np.diag(
+        rng.uniform(0.8, 1.2, 2 * n)
+    )
+    state = make_state(alpha, s_sigma, np.full(n, 1.4))
+    applied = descent._apply(state, kind, params)
+
+    t = transform_matrix(n, kind, params)
+    beta = t @ state.beta @ t.T
+    s_expect = state.s_sigma @ np.linalg.inv(t)
+    for got, expect in ((applied.beta, beta), (applied.s_sigma, s_expect)):
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    assert abs(applied.objective - descent_objective(applied)) <= 1e-12
+    assert applied.self_entropy == state.self_entropy
+
+
+def test_apply_on_a_state_without_a_carried_self_term():
+    state = make_state(RHO_TWO_MODE, np.eye(4), [1.3, 1.0])
+    bare = DescentState(*state[:5])
+    assert bare.self_entropy is None
+    applied = descent._apply(bare, "squeeze_qq", (0, 1, 0.2))
+    assert applied.self_entropy == state.self_entropy
+    assert abs(applied.objective - descent_objective(applied)) <= 1e-12
+
+
+def test_ppt_verdict_matches_is_separable_across_border_crossings():
+    rng = np.random.default_rng(41)
+    crossed, verdicts = 0, []
+    for _ in range(6):
+        border_state, border_em = descend(
+            RHO_NOISY_TMSV, draw_separable_em(rng), stop="at_border"
+        )
+        if border_em is None:
+            continue
+        crossed += 1
+        sigmas = [sigma_cm_of(border_state), em_to_cm(border_em)]
+        # the partial transform that reached the border, scaled around it
+        kind, part, _ = border_state.step_log[-2]
+        if kind != "align":
+            back = descent._apply(border_state, kind, descent._inverse_params(kind, part))
+            for scale in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
+                if kind == "local_squeeze":
+                    scaled = part[:-1] + (part[-1] ** scale,)
+                else:
+                    scaled = part[:-1] + (scale * part[-1],)
+                sigmas.append(sigma_cm_of(descent._apply(back, kind, scaled)))
+        for sigma in sigmas:
+            verdicts.append(_ppt_verdict(sigma))
+            assert verdicts[-1] == is_separable(sigma)[0]
+    assert crossed >= 3
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_carried_objective_matches_an_independent_eigensolve():
+    rng = np.random.default_rng(42)
+    for n in (1, 2, 3, 1, 2, 3):
+        alpha = random_cm(rng, n, 0.6, 2.5)
+        sigma0 = cm_to_em(random_cm(rng, n, 0.6, 2.5))
+        final, _ = descend(alpha, sigma0, stop="at_rho")
+        assert abs(descent_objective(final) - final.objective) <= 1e-12
+        if n == 2:
+            border_state, _ = descend(alpha, sigma0, stop="at_border")
+            assert abs(descent_objective(border_state) - border_state.objective) <= 1e-12
+
+
+def test_descend_guards_the_symplectic_spectrum_of_beta(monkeypatch):
+    """A congruence keeps beta's spectrum; a converged beta whose spectrum
+    moved by 1e-7 (too little for the at_rho end test) must raise."""
+    real_step = descent.descent_step
+
+    def drifting_step(state):
+        stepped = real_step(state)
+        if state.objective - stepped.objective < descent.CONVERGENCE_TOL:
+            stepped = stepped._replace(beta=stepped.beta * (1.0 + 1e-7))
+        return stepped
+
+    monkeypatch.setattr(descent, "descent_step", drifting_step)
+    for stop in ("at_rho", "at_border"):
+        with pytest.raises(NumericalGuardError):
+            descend(RHO_TWO_MODE, cm_to_em(thermal_cm(1.1, 1.2)), stop=stop)

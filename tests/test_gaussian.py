@@ -33,6 +33,7 @@ from gree import (
     tmsv_cm,
     von_neumann_entropy,
 )
+from gree.gaussian import _ppt_verdict, bosonic_entropy_sum
 from conftest import thermal_cm
 
 LN3 = 1.0986122886681098
@@ -197,3 +198,28 @@ def test_tmsv_is_pure_and_entangled():
     alpha = tmsv_cm(0.7)
     np.testing.assert_allclose(check_physical(alpha), [0.5, 0.5], atol=1e-12)
     assert not is_separable(alpha)[0]
+
+
+def test_bosonic_entropy_sum_matches_the_scalar_entropy():
+    rng = np.random.default_rng(31)
+    for size in (1, 2, 3, 6):
+        x = rng.uniform(-0.2, 4.0, size)
+        x[0] = 0.0
+        expect = sum(bosonic_entropy(max(v, 0.0)) for v in x)
+        assert abs(bosonic_entropy_sum(x) - expect) <= 1e-12 * max(1.0, expect)
+    assert bosonic_entropy_sum(np.array([-0.1, 0.0])) == 0.0
+    assert math.isnan(bosonic_entropy_sum(np.array([1.0, float("nan")])))
+
+
+def test_ppt_verdict_matches_is_separable_on_random_draws():
+    rng = np.random.default_rng(32)
+    verdicts = []
+    for _ in range(60):
+        alpha = random_cm(rng, 2, 0.55, 2.0, scale=0.4)
+        verdicts.append(_ppt_verdict(alpha))
+        assert verdicts[-1] == is_separable(alpha)[0]
+    assert 0 < sum(verdicts) < len(verdicts)
+    with pytest.raises(ValidationError):
+        _ppt_verdict(np.eye(2))
+    with pytest.raises(ValidationError):
+        _ppt_verdict(0.1 * np.eye(4))

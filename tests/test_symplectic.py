@@ -28,6 +28,14 @@ def test_symplectic_form_squares_to_minus_identity(n):
     np.testing.assert_allclose(delta.T, -delta)
 
 
+def test_symplectic_form_is_cached_read_only():
+    delta = symplectic_form(2)
+    assert symplectic_form(2) is delta
+    assert not delta.flags.writeable
+    with pytest.raises(ValueError):
+        delta[0, 2] = 5.0
+
+
 def test_symplectic_form_rejects_bad_mode_count():
     with pytest.raises(ValidationError):
         symplectic_form(0)
