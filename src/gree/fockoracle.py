@@ -31,7 +31,6 @@ from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalGuardError, ValidationError
 
@@ -586,6 +585,8 @@ def fock_covariance(state: FockDensity) -> np.ndarray:
     Means are not subtracted (the states in scope are zero-mean), so for
     a Gaussian input this reproduces its CM.
     """
+    import scipy.sparse as sp
+
     dims = state.dims
     n = len(dims)
     ops = []

@@ -79,8 +79,7 @@ def check_physical(alpha: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(alpha: np.ndarray) -> float:
     """Entropy sum_j g(gamma_j - 1/2) of the state with CM alpha, in nats."""
-    gammas = check_physical(alpha)
-    return float(sum(bosonic_entropy(max(g - 0.5, 0.0)) for g in gammas))
+    return bosonic_entropy_sum(check_physical(alpha) - 0.5)
 
 
 def em_spectrum(gammas: np.ndarray) -> np.ndarray:

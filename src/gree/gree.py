@@ -8,19 +8,26 @@ candidate is completed by closed-form y-elimination and a 1-D search in
 the local squeeze x.  Symmetric states admit a two-variable objective and
 two-mode squeezed thermal states a one-variable one; both are provided as
 independent routes.
+
+The searches run on plain Python floats: a Nelder-Mead simplex in this
+module (`minimize`, scipy's non-adaptive method step for step) over an
+objective that returns a bare float from closed-form border blocks and
+the float core of the inner minimum.  Vertices are ranked by Python's
+stable sort, so the order of exactly tied vertices, and with it the
+minimizer inside a flat valley, does not depend on the machine.
 """
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NumericalGuardError, SearchFailureError, ValidationError
 from .gaussian import (
     PURITY_EPS,
     SymmetricParams,
-    bosonic_entropy,
+    bosonic_entropy_sum,
     check_physical,
     classify,
     cm_to_em,
@@ -40,11 +47,17 @@ PURITY_FLOOR_GAP = 1e-7
 X_PRIME_CAP = 1e6
 # bracket for the inner minimization over log x
 LOG_X_BRACKET = 6.0
-# edge of the initial simplex along every search variable; scipy's default
-# steps 5% of a coordinate, or 0.00025 where it is 0 (the log-gap anchor of
-# any gamma = 3/2), and such a flat simplex stalls away from the minimum
+_X_LO, _X_HI = math.exp(-LOG_X_BRACKET), math.exp(LOG_X_BRACKET)
+# the bracket in z = x - 1/x
+_Z_LO, _Z_HI = _X_LO - 1.0 / _X_LO, _X_HI - 1.0 / _X_HI
+# edge of the initial simplex along every search variable; the default
+# simplex (_default_simplex) steps 5% of a coordinate, or 0.00025 where it
+# is 0 (the log-gap anchor of any gamma = 3/2), and such a flat simplex
+# stalls away from the minimum
 SIMPLEX_STEP = 0.1
 
+# ranks the (value, vertex) pairs of a simplex
+_VALUE = itemgetter(0)
 _TYPE_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
 # family minima within this of the lowest are tied; the first of them in
 # type order gives the label
@@ -74,6 +87,15 @@ class InnerMinState(NamedTuple):
     x_opt: float
     y_opt: float
     half_trace: float
+
+
+class SimplexResult(NamedTuple):
+    """Lowest vertex x of a finished simplex search, its value fun and
+    the iteration count nit (counted from 1)."""
+
+    x: Tuple[float, ...]
+    fun: float
+    nit: int
 
 
 class GreeResult(NamedTuple):
@@ -309,29 +331,170 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
     return u
 
 
-def _increasing_root(g, dg, a: float, b: float) -> float:
-    """Root of g on [a, b], where g increases from g(a) < 0 to g(b) > 0:
-    Newton steps, with bisection whenever a step leaves the bracket."""
-    z = 0.5 * (a + b)
-    for _ in range(200):
-        gz = g(z)
-        if gz == 0.0:
-            return z
-        if gz < 0.0:
-            a = z
+def minimize(
+    fun: Callable[[Tuple[float, ...]], float],
+    x0: Sequence[float],
+    simplex: Sequence[Sequence[float]],
+    fatol: float,
+    xatol: float,
+    maxiter: int,
+) -> SimplexResult:
+    """Nelder-Mead minimum of fun from the initial simplex [x0, *simplex].
+
+    The non-adaptive method of scipy.optimize, step for step, on tuples
+    of floats: reflection 1, expansion 2, contraction 1/2 (outside when
+    the reflected value beats the worst vertex, inside otherwise) and
+    shrink 1/2 towards the best vertex; the centroid of the N best
+    vertices is summed in rank order.  Vertices are ranked by Python's
+    stable sort, so vertices of equal value keep their order and a tie
+    resolves the same way on every machine.  The search stops once
+    every vertex lies within xatol of the best in every coordinate and
+    within fatol of it in value, or once nit reaches maxiter.
+
+    Args:
+        fun: objective on a tuple of floats; +inf marks points outside
+            its domain.  It must not return NaN, which has no rank.
+        x0: first vertex of the initial simplex.
+        simplex: the other N vertices.
+        fatol, xatol: value and coordinate tolerances of the stop test.
+        maxiter: cap on nit.
+    """
+    n = len(x0)
+    start = [tuple(map(float, x0))] + [tuple(map(float, v)) for v in simplex]
+    if len(start) != n + 1 or any(len(v) != n for v in start):
+        raise ValidationError("the initial simplex needs N + 1 vertices of length N")
+    verts = [(fun(v), v) for v in start]
+    verts.sort(key=_VALUE)
+    nit = 1
+    while nit < maxiter:
+        f_best, best = verts[0]
+        if all(abs(c - b) <= xatol for _, v in verts[1:] for c, b in zip(v, best)) and all(
+            abs(f_best - f) <= fatol for f, _ in verts[1:]
+        ):
+            break
+        centroid = best
+        for _, v in verts[1:n]:
+            centroid = [c + d for c, d in zip(centroid, v)]
+        centroid = [c / n for c in centroid]
+        f_worst, worst = verts[-1]
+        xr = tuple([2.0 * c - w for c, w in zip(centroid, worst)])
+        fxr = fun(xr)
+        shrink = False
+        if fxr < f_best:
+            xe = tuple([3.0 * c - 2.0 * w for c, w in zip(centroid, worst)])
+            fxe = fun(xe)
+            verts[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < verts[-2][0]:
+            verts[-1] = (fxr, xr)
+        elif fxr < f_worst:
+            xc = tuple([1.5 * c - 0.5 * w for c, w in zip(centroid, worst)])
+            fxc = fun(xc)
+            if fxc <= fxr:
+                verts[-1] = (fxc, xc)
+            else:
+                shrink = True
         else:
-            b = z
-        slope = dg(z)
-        step = gz / slope if slope > 0.0 else math.inf
-        z_new = z - step
-        if not a < z_new < b:
-            z_new = 0.5 * (a + b)
+            xcc = tuple([0.5 * c + 0.5 * w for c, w in zip(centroid, worst)])
+            fxcc = fun(xcc)
+            if fxcc < f_worst:
+                verts[-1] = (fxcc, xcc)
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                v = tuple([b + 0.5 * (c - b) for c, b in zip(verts[j][1], best)])
+                verts[j] = (fun(v), v)
+        nit += 1
+        verts.sort(key=_VALUE)
+    f_best, best = verts[0]
+    return SimplexResult(x=best, fun=f_best, nit=nit)
+
+
+def _default_simplex(x0: Sequence[float]) -> list:
+    """The other N vertices of scipy's default initial simplex at x0:
+    coordinate k stepped by 5%, or set to 0.00025 where it is 0."""
+    vertices = []
+    for k, c in enumerate(x0):
+        v = list(x0)
+        v[k] = 1.05 * c if c != 0 else 0.00025
+        vertices.append(v)
+    return vertices
+
+
+def _inner_core(
+    a1: float, a2: float, a3: float, a4: float,
+    m1: float, m2: float, m3: float, m4: float,
+) -> Tuple[float, float, float]:
+    """Float core of inner_minimize: the minimizing x and the trace
+    factors P and Q there."""
+    if min(a1, a3) <= 0 or min(m1, m3) <= 0:
+        raise ValidationError("diagonal parameters must be positive")
+    if not (a2 > 0 > a4):
+        raise ValidationError("expected the standard-form signs alpha2 > 0 > alpha4")
+    p_c = a1 * m1
+    q_c = a3 * m3
+    s_c = 2.0 * a2 * m2
+    t_c = 2.0 * a4 * m4
+
+    # P and Q are convex in x: each is smallest at its vertex, clipped
+    # to the bracket
+    x_p = min(max(math.sqrt(q_c / p_c), _X_LO), _X_HI)
+    x_q = min(max(math.sqrt(p_c / q_c), _X_LO), _X_HI)
+    if p_c * x_p + q_c / x_p + s_c <= 0.0 or p_c / x_q + q_c * x_q + t_c <= 0.0:
+        raise NumericalGuardError("trace factor non-positive on the x bracket")
+
+    pq2 = 2.0 * p_c * q_c
+    k = 0.5 * (p_c + q_c) * (s_c + t_c)
+    h = 0.5 * (p_c - q_c) * (t_c - s_c)
+    # |k z / sqrt(z^2 + 4)| < |k| confines every root to [z_min, z_max]
+    z_min = max(_Z_LO, (-h - abs(k)) / pq2)
+    z_max = min(_Z_HI, (-h + abs(k)) / pq2)
+    if pq2 + 0.5 * k >= 0.0:
+        stretches = ((z_min, z_max),)
+    else:
+        z_c = math.sqrt((-4.0 * k / pq2) ** (2.0 / 3.0) - 4.0)
+        stretches = ((z_min, min(z_max, -z_c)), (max(z_min, z_c), z_max))
+
+    x_opt = _X_LO
+    p_opt, q_opt = p_c * _X_LO + q_c / _X_LO + s_c, p_c / _X_LO + q_c * _X_LO + t_c
+    candidates = [_X_HI]
+    for a, b in stretches:
+        if not (
+            a < b
+            and pq2 * a + k * a / math.sqrt(a * a + 4.0) + h < 0.0
+            < pq2 * b + k * b / math.sqrt(b * b + 4.0) + h
+        ):
+            continue
+        # g(z) = 2pq z + k z / sqrt(z^2 + 4) + h increases from g(a) < 0
+        # to g(b) > 0: Newton steps, bisecting whenever one leaves [a, b]
+        z = 0.5 * (a + b)
+        for _ in range(200):
+            gz = pq2 * z + k * z / math.sqrt(z * z + 4.0) + h
+            if gz == 0.0:
+                break
+            if gz < 0.0:
+                a = z
+            else:
+                b = z
+            slope = pq2 + 4.0 * k / (z * z + 4.0) ** 1.5
+            step = gz / slope if slope > 0.0 else math.inf
+            z_new = z - step
             if not a < z_new < b:
-                return z
-        elif abs(step) <= 1e-15 * (1.0 + abs(z)):
-            return z_new
-        z = z_new
-    return z
+                z_new = 0.5 * (a + b)
+                if not a < z_new < b:
+                    break
+            elif abs(step) <= 1e-15 * (1.0 + abs(z)):
+                z = z_new
+                break
+            z = z_new
+        w = math.sqrt(z * z + 4.0)
+        candidates.append(0.5 * (z + w) if z >= 0.0 else 2.0 / (w - z))
+    # strict <: of equal products the first candidate wins
+    for x in candidates:
+        p, q = p_c * x + q_c / x + s_c, p_c / x + q_c * x + t_c
+        if p * q < p_opt * q_opt:
+            x_opt, p_opt, q_opt = x, p, q
+    return x_opt, p_opt, q_opt
 
 
 def inner_minimize(
@@ -350,7 +513,8 @@ def inner_minimize(
     k = (p + q)(s + t)/2 and h = (p - q)(t - s)/2.  g increases
     everywhere unless k < -4pq, and then everywhere but on one central
     stretch, so the minima are the roots on the increasing stretches,
-    each found by a safeguarded Newton iteration.
+    each found by a safeguarded Newton iteration.  The border search
+    calls the float core of this function directly.
 
     Args:
         alpha_sf: rho's standard-form parameters (a1, a2, a3, a4) with
@@ -364,52 +528,7 @@ def inner_minimize(
     """
     a1, a2, a3, a4 = (float(v) for v in alpha_sf)
     m1, m2, m3, m4 = (float(v) for v in m_std)
-    if min(a1, a3) <= 0 or min(m1, m3) <= 0:
-        raise ValidationError("diagonal parameters must be positive")
-    if not (a2 > 0 > a4):
-        raise ValidationError("expected the standard-form signs alpha2 > 0 > alpha4")
-    p_c = a1 * m1
-    q_c = a3 * m3
-    s_c = 2.0 * a2 * m2
-    t_c = 2.0 * a4 * m4
-
-    def factors(x):
-        return p_c * x + q_c / x + s_c, p_c / x + q_c * x + t_c
-
-    # P and Q are convex in x: each is smallest at its vertex, clipped
-    # to the bracket
-    x_lo, x_hi = math.exp(-LOG_X_BRACKET), math.exp(LOG_X_BRACKET)
-    x_p = min(max(math.sqrt(q_c / p_c), x_lo), x_hi)
-    x_q = min(max(math.sqrt(p_c / q_c), x_lo), x_hi)
-    if factors(x_p)[0] <= 0.0 or factors(x_q)[1] <= 0.0:
-        raise NumericalGuardError("trace factor non-positive on the x bracket")
-
-    pq2 = 2.0 * p_c * q_c
-    k = 0.5 * (p_c + q_c) * (s_c + t_c)
-    h = 0.5 * (p_c - q_c) * (t_c - s_c)
-
-    def g(z):
-        return pq2 * z + k * z / math.sqrt(z * z + 4.0) + h
-
-    def dg(z):
-        return pq2 + 4.0 * k / (z * z + 4.0) ** 1.5
-
-    # |k z / sqrt(z^2 + 4)| < |k| confines every root to [z_min, z_max]
-    z_min = max(x_lo - 1.0 / x_lo, (-h - abs(k)) / pq2)
-    z_max = min(x_hi - 1.0 / x_hi, (-h + abs(k)) / pq2)
-    if pq2 + 0.5 * k >= 0.0:
-        stretches = [(z_min, z_max)]
-    else:
-        z_c = math.sqrt((-4.0 * k / pq2) ** (2.0 / 3.0) - 4.0)
-        stretches = [(z_min, min(z_max, -z_c)), (max(z_min, z_c), z_max)]
-    candidates = [x_lo, x_hi]
-    for a, b in stretches:
-        if a < b and g(a) < 0.0 < g(b):
-            z = _increasing_root(g, dg, a, b)
-            w = math.sqrt(z * z + 4.0)
-            candidates.append(0.5 * (z + w) if z >= 0.0 else 2.0 / (w - z))
-    x_opt = min(candidates, key=lambda x: math.prod(factors(x)))
-    p, q = factors(x_opt)
+    x_opt, p, q = _inner_core(a1, a2, a3, a4, m1, m2, m3, m4)
     return InnerMinState(
         alpha_sf=(a1, a2, a3, a4),
         m_std=(m1, m2, m3, m4),
@@ -438,7 +557,7 @@ def _squeeze_xy(x: float, y: float) -> np.ndarray:
 
 
 def _self_term(gammas_rho: np.ndarray) -> float:
-    return -float(sum(bosonic_entropy(max(g - 0.5, 0.0)) for g in gammas_rho))
+    return -bosonic_entropy_sum(gammas_rho - 0.5)
 
 
 def _neg_log_c(gamma_a: float, gamma_b: float) -> float:
@@ -452,6 +571,18 @@ def _confirmed(minima: Sequence[float], tol: float) -> bool:
         return False
     first, second = sorted(minima)[:2]
     return second - first <= tol
+
+
+def _seeds(pool: Sequence[tuple], starts: int, rng: np.random.Generator) -> list:
+    """The first `starts` points of a sorted seed pool; past its end the
+    points cycle again, each jittered by 0.3 standard normals."""
+    seeds = list(pool[:starts])
+    while len(seeds) < starts:
+        jitter = 0.3 * rng.standard_normal(len(pool[0]))
+        seeds.append(tuple(
+            float(c + e) for c, e in zip(seeds[len(seeds) % len(pool)], jitter)
+        ))
+    return seeds
 
 
 def _separable_result(alpha_rho: np.ndarray, gammas: np.ndarray, residual: float) -> GreeResult:
@@ -502,7 +633,9 @@ def gree(
         GreeResult with the value in nats, the winning family, its
         parameters, the minimizing EM transformed back to the input
         frame, and diagnostics: per-family minima, the tied families,
-        the starts run per family search and the simplex iterations.
+        the starts run per family search, the simplex iterations, and
+        per family search the objective calls (seed pool plus simplex)
+        and how many of them returned inf (`evaluations`).
     """
     alpha_rho = np.asarray(alpha_rho, dtype=float)
     if families is None:
@@ -518,31 +651,47 @@ def gree(
         return _separable_result(alpha_rho, gammas_rho, rho_residual)
 
     sf = standard_form(alpha_rho)
-    alpha_params = (sf.a, sf.c1, sf.b, -sf.c2)
+    alpha_params = (float(sf.a), float(sf.c1), float(sf.b), -float(sf.c2))
     self_term = _self_term(gammas_rho)
 
-    def evaluate(label, shape, ua, ub):
+    def border_point(label, shape, ua, ub):
+        """The family point at log gaps (ua, ub), or None outside the
+        search domain; raises where no border state exists."""
         if abs(ua) > 30.0 or abs(ub) > 30.0:
-            return math.inf, None
+            return None
         gap_a, gap_b = math.exp(ua), math.exp(ub)
         if min(gap_a, gap_b) < PURITY_FLOOR_GAP:
-            return math.inf, None
+            return None
         ga, gb = 0.5 + gap_a, 0.5 + gap_b
+        if label in ("I", "II"):
+            x_prime = border_x_prime(label, ga, gb, shape)
+            if x_prime > X_PRIME_CAP:
+                return None
+            return BorderParams(label, ga, gb, float(shape), x_prime)
+        return BorderParams(label, ga, gb, float(shape), 1.0)
+
+    def folded_em(params):
+        m1, ms2, m3, ms4 = _strip_blocks(*_border_blocks(params))
+        m2, m4 = fold_cross_terms(ms2, ms4)
+        return m1, m2, m3, m4
+
+    def objective(label, shape, ua, ub):
         try:
-            if label in ("I", "II"):
-                x_prime = border_x_prime(label, ga, gb, shape)
-                if x_prime > X_PRIME_CAP:
-                    return math.inf, None
-                params = BorderParams(label, ga, gb, float(shape), x_prime)
-            else:
-                params = BorderParams(label, ga, gb, float(shape), 1.0)
-            m1, ms2, m3, ms4 = _strip_blocks(*_border_blocks(params))
-            m2, m4 = fold_cross_terms(ms2, ms4)
-            inner = inner_minimize(alpha_params, (m1, m2, m3, m4))
+            params = border_point(label, shape, ua, ub)
+            if params is None:
+                return math.inf
+            _, p, q = _inner_core(*alpha_params, *folded_em(params))
         except (NumericalGuardError, ValidationError):
-            return math.inf, None
-        value = self_term + _neg_log_c(ga, gb) + inner.half_trace
-        return value, (params, inner)
+            return math.inf
+        return self_term + _neg_log_c(params.gamma_a, params.gamma_b) + math.sqrt(p * q)
+
+    def complete(label, shape, ua, ub):
+        """(value, params, inner) at a point where the objective is finite;
+        the value is the objective's, bit for bit."""
+        params = border_point(label, shape, ua, ub)
+        inner = inner_minimize(alpha_params, folded_em(params))
+        value = self_term + _neg_log_c(params.gamma_a, params.gamma_b) + inner.half_trace
+        return value, params, inner
 
     rng = np.random.default_rng(seed)
     u_anchor = [math.log(max(g - 0.5, 1e-4)) for g in gammas_rho]
@@ -558,16 +707,20 @@ def gree(
     per_type: dict = {}
     found: dict = {}  # family key -> (value, params, inner), in type order
     starts_run: dict = {}
+    evaluations: dict = {}
     total_iters = 0
-    nm_options = {"fatol": tol, "xatol": 1e-8, "maxiter": 600}
 
     for label, fixed_shape in family_plan:
         with_shape = fixed_shape is None
         key = label if label != "III" else "III_%d" % int(fixed_shape)
+        tally = [0, 0]  # objective calls, and how many returned inf
 
-        def fun(v, label=label, fixed=fixed_shape):
-            shape = v[2] if fixed is None else fixed
-            return evaluate(label, shape, v[0], v[1])[0]
+        def fun(v, label=label, fixed=fixed_shape, tally=tally):
+            value = objective(label, v[2] if fixed is None else fixed, v[0], v[1])
+            tally[0] += 1
+            if value == math.inf:
+                tally[1] += 1
+            return value
 
         pool = []
         for ua in u_anchor[:1] + u_grid:
@@ -578,34 +731,30 @@ def gree(
                     pool.append((ua, ub))
         scores = [fun(p) for p in pool]
         order = sorted(range(len(pool)), key=scores.__getitem__)
-        pool = [pool[i] for i in order]
-        seeds = [np.array(p) for p in pool[:starts]]
-        while len(seeds) < starts:
-            seeds.append(seeds[len(seeds) % len(pool)] + 0.3 * rng.standard_normal(len(pool[0])))
+        seeds = _seeds([pool[i] for i in order], starts, rng)
 
         minima = []
         family_best = (math.inf, None)
         # the pool is sorted, so an infeasible best point means all are
         if math.isfinite(scores[order[0]]):
             for x0 in seeds:
-                simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(len(x0))])
-                with np.errstate(invalid="ignore"):
-                    res = minimize(fun, x0, method="Nelder-Mead",
-                                   options=dict(nm_options, initial_simplex=simplex))
-                total_iters += int(res.nit)
-                minima.append(float(res.fun))
+                simplex = [
+                    tuple(c + SIMPLEX_STEP if j == k else c for j, c in enumerate(x0))
+                    for k in range(len(x0))
+                ]
+                res = minimize(fun, x0, simplex, tol, 1e-8, 600)
+                total_iters += res.nit
+                minima.append(res.fun)
                 if res.fun < family_best[0]:
-                    family_best = (float(res.fun), np.asarray(res.x))
+                    family_best = (res.fun, res.x)
                 if _confirmed(minima, tol):
                     break
         starts_run[key] = len(minima)
+        evaluations[key] = {"calls": tally[0], "inf": tally[1]}
         per_type[key] = family_best[0]
-        if family_best[1] is not None and math.isfinite(family_best[0]):
+        if math.isfinite(family_best[0]):
             v = family_best[1]
-            shape = v[2] if with_shape else fixed_shape
-            value, aux = evaluate(label, shape, v[0], v[1])
-            if aux is not None:
-                found[key] = (value,) + aux
+            found[key] = complete(label, v[2] if with_shape else fixed_shape, v[0], v[1])
 
     if "III" in selected:
         per_type["III"] = min(per_type.pop("III_1"), per_type.pop("III_2"))
@@ -635,6 +784,7 @@ def gree(
             "tied_families": list(dict.fromkeys(found[key][1].label for key in tied)),
             "starts": starts_run,
             "iterations": total_iters,
+            "evaluations": evaluations,
             "rho_type": classify(sf).label,
             "border_residual": border_residual,
         },
@@ -708,18 +858,13 @@ def gree_symmetric(p: SymmetricParams, starts: int = 8, seed: int = 0) -> GreeRe
         mt_rho = em_spectrum(gammas_rho)
         pool.insert(0, (math.log(mt_rho[0]), math.log(mt_rho[1])))
     pool.sort(key=w)
-    seeds = [np.array(q) for q in pool[:starts]]
-    while len(seeds) < starts:
-        seeds.append(seeds[len(seeds) % len(pool)] + 0.3 * rng.standard_normal(2))
 
     best_w, best_v, iters = math.inf, None, 0
-    for x0 in seeds:
-        with np.errstate(invalid="ignore"):
-            res = minimize(w, x0, method="Nelder-Mead",
-                           options={"fatol": 1e-12, "xatol": 1e-10, "maxiter": 600})
-        iters += int(res.nit)
+    for x0 in _seeds(pool, starts, rng):
+        res = minimize(w, x0, _default_simplex(x0), 1e-12, 1e-10, 600)
+        iters += res.nit
         if res.fun < best_w:
-            best_w, best_v = float(res.fun), np.asarray(res.x)
+            best_w, best_v = res.fun, res.x
     if best_v is None or not math.isfinite(best_w):
         raise SearchFailureError("symmetric border search failed")
 

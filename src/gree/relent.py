@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
 from .gaussian import (
-    bosonic_entropy,
+    bosonic_entropy_sum,
     check_physical,
     cm_to_em,
     gamma_of_em_spectrum,
@@ -77,7 +77,7 @@ def relative_entropy(
         m_sigma = np.asarray(sigma, dtype=float)
     else:
         raise ValidationError("sigma_kind must be 'cm' or 'em'")
-    self_term = -float(sum(bosonic_entropy(max(g - 0.5, 0.0)) for g in gammas_rho))
+    self_term = -bosonic_entropy_sum(gammas_rho - 0.5)
     cross = cross_term(alpha_rho, m_sigma)
     if z is not None:
         cross += displacement_penalty(m_sigma, z)

@@ -1,10 +1,16 @@
 """Tests for the border families, the inner minimization, and the GREE
 searches (full, symmetric, and squeezed-thermal routes)."""
 
+import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize import minimize_scalar
 
 from gree import (
@@ -33,7 +39,11 @@ from gree import (
     xy_strip,
 )
 from gree.cli import _fig12_state
+from gree.gree import _default_simplex, _inner_core, minimize
 from conftest import draw_separable_cm
+
+# the module itself: the package attribute `gree` is the function
+gree_module = importlib.import_module("gree.gree")
 
 
 def border_equality_residual(label, gamma_a, gamma_b, shape, x_prime):
@@ -360,9 +370,9 @@ def dense_grid_minimum(alpha_sf, m_std, points=20001):
     return best
 
 
-def test_inner_minimize_matches_dense_grid():
+def inner_draws():
+    """The 200 seeded (alpha_sf, m_std) pairs of the inner-minimum tests."""
     rng = np.random.default_rng(17)
-    matched = raised = off_bracket = 0
     for draw in range(200):
         a1, a3 = rng.uniform(0.6, 3.0, 2)
         bound = math.sqrt(a1 * a3)
@@ -383,6 +393,12 @@ def test_inner_minimize_matches_dense_grid():
             m3 = m1 * a1 / a3 * math.exp(2.0 * u_vertex)
             cross = math.sqrt(m1 * m3)
             m_std = (m1, -rng.uniform(1.2, 2.0) * cross, m3, rng.uniform(-1.0, 1.0) * cross)
+        yield alpha_sf, m_std
+
+
+def test_inner_minimize_matches_dense_grid():
+    matched = raised = off_bracket = 0
+    for alpha_sf, m_std in inner_draws():
         reference = dense_grid_minimum(alpha_sf, m_std)
         if reference is None:
             with pytest.raises(NumericalGuardError):
@@ -452,3 +468,187 @@ def test_gree_start_budget_is_capped():
     res = gree(standard_cm(1.2, 0.9, 0.7, 0.6), starts=1)
     assert res.diagnostics["starts"] == {"I": 1, "II": 1, "III_1": 1, "III_2": 1, "IV": 1}
     assert res.diagnostics["tied_families"] == ["I"]
+
+
+def closure_inner_minimum(alpha_sf, m_std):
+    """(x_opt, P, Q) by the closure-and-generator form the float core
+    replaced, kept as its reference: the same operations in the same
+    order, so the two must agree bit for bit."""
+    a1, a2, a3, a4 = (float(v) for v in alpha_sf)
+    m1, m2, m3, m4 = (float(v) for v in m_std)
+    p_c, q_c, s_c, t_c = a1 * m1, a3 * m3, 2.0 * a2 * m2, 2.0 * a4 * m4
+
+    def factors(x):
+        return p_c * x + q_c / x + s_c, p_c / x + q_c * x + t_c
+
+    x_lo, x_hi = math.exp(-6.0), math.exp(6.0)
+    x_p = min(max(math.sqrt(q_c / p_c), x_lo), x_hi)
+    x_q = min(max(math.sqrt(p_c / q_c), x_lo), x_hi)
+    if factors(x_p)[0] <= 0.0 or factors(x_q)[1] <= 0.0:
+        return None
+    pq2 = 2.0 * p_c * q_c
+    k = 0.5 * (p_c + q_c) * (s_c + t_c)
+    h = 0.5 * (p_c - q_c) * (t_c - s_c)
+
+    def g(z):
+        return pq2 * z + k * z / math.sqrt(z * z + 4.0) + h
+
+    def dg(z):
+        return pq2 + 4.0 * k / (z * z + 4.0) ** 1.5
+
+    def increasing_root(a, b):
+        z = 0.5 * (a + b)
+        for _ in range(200):
+            gz = g(z)
+            if gz == 0.0:
+                return z
+            if gz < 0.0:
+                a = z
+            else:
+                b = z
+            slope = dg(z)
+            step = gz / slope if slope > 0.0 else math.inf
+            z_new = z - step
+            if not a < z_new < b:
+                z_new = 0.5 * (a + b)
+                if not a < z_new < b:
+                    return z
+            elif abs(step) <= 1e-15 * (1.0 + abs(z)):
+                return z_new
+            z = z_new
+        return z
+
+    z_min = max(x_lo - 1.0 / x_lo, (-h - abs(k)) / pq2)
+    z_max = min(x_hi - 1.0 / x_hi, (-h + abs(k)) / pq2)
+    if pq2 + 0.5 * k >= 0.0:
+        stretches = [(z_min, z_max)]
+    else:
+        z_c = math.sqrt((-4.0 * k / pq2) ** (2.0 / 3.0) - 4.0)
+        stretches = [(z_min, min(z_max, -z_c)), (max(z_min, z_c), z_max)]
+    candidates = [x_lo, x_hi]
+    for a, b in stretches:
+        if a < b and g(a) < 0.0 < g(b):
+            z = increasing_root(a, b)
+            w = math.sqrt(z * z + 4.0)
+            candidates.append(0.5 * (z + w) if z >= 0.0 else 2.0 / (w - z))
+    x_opt = min(candidates, key=lambda x: math.prod(factors(x)))
+    return (x_opt,) + factors(x_opt)
+
+
+def test_inner_core_matches_the_closure_form_bitwise():
+    compared = 0
+    for alpha_sf, m_std in inner_draws():
+        reference = closure_inner_minimum(alpha_sf, m_std)
+        args = tuple(float(v) for v in alpha_sf) + tuple(float(v) for v in m_std)
+        if reference is None:
+            with pytest.raises(NumericalGuardError):
+                _inner_core(*args)
+            continue
+        x_opt, p, q = _inner_core(*args)
+        assert (x_opt, p, q) == reference
+        state = inner_minimize(alpha_sf, m_std)
+        assert state.half_trace == math.sqrt(p * q) == math.sqrt(reference[1] * reference[2])
+        assert state.x_opt == x_opt
+        compared += 1
+    assert compared >= 100
+
+
+def rosenbrock(v):
+    return sum(
+        100.0 * (v[i + 1] - v[i] * v[i]) * (v[i + 1] - v[i] * v[i]) + (1.0 - v[i]) * (1.0 - v[i])
+        for i in range(len(v) - 1)
+    )
+
+
+def walled_quadratic(v):
+    """A tilted quadratic whose minimum lies beyond the wall v0 = 0.3."""
+    if v[0] > 0.3:
+        return math.inf
+    return sum((j + 1.0) * (c - 0.5) * (c - 0.5) for j, c in enumerate(v)) + 0.3 * v[0] * v[-1]
+
+
+@pytest.mark.parametrize("fun", [rosenbrock, walled_quadratic])
+@pytest.mark.parametrize("n", [2, 3])
+def test_minimize_matches_scipy_nelder_mead_bitwise(fun, n):
+    rng = np.random.default_rng(23 + n)
+    for _ in range(8):
+        x0 = rng.uniform(-1.5, 0.2, n)
+        simplex = np.vstack([x0, x0 + 0.1 * np.eye(n)])
+        ref = scipy_minimize(fun, x0, method="Nelder-Mead",
+                             options={"initial_simplex": simplex, "fatol": 1e-10,
+                                      "xatol": 1e-8, "maxiter": 600})
+        got = minimize(fun, tuple(x0), [tuple(v) for v in simplex[1:]], 1e-10, 1e-8, 600)
+        assert got.x == tuple(float(c) for c in ref.x)
+        assert got.fun == float(ref.fun)
+        assert got.nit == ref.nit
+        assert all(isinstance(c, float) for c in got.x)
+
+
+def test_default_simplex_matches_scipy_default():
+    x0 = (0.0, -0.7)
+    ref = scipy_minimize(rosenbrock, np.array(x0), method="Nelder-Mead",
+                         options={"fatol": 1e-12, "xatol": 1e-10, "maxiter": 600})
+    got = minimize(rosenbrock, x0, _default_simplex(x0), 1e-12, 1e-10, 600)
+    assert (got.x, got.fun, got.nit) == (tuple(float(c) for c in ref.x), float(ref.fun), ref.nit)
+
+
+def test_minimize_breaks_ties_by_vertex_order():
+    # on a constant function every step shrinks towards the first vertex,
+    # which a stable ranking keeps first throughout; x0 is the largest
+    # vertex in coordinate order, so no tie-break by coordinates keeps it
+    x0 = (0.3, -1.1, 2.0)
+    simplex = [(0.2, -1.1, 2.0), (0.3, -1.2, 2.0), (0.3, -1.1, 1.9)]
+    res = minimize(lambda v: 1.0, x0, simplex, 1e-10, 1e-8, 600)
+    assert res.x == x0 and res.fun == 1.0 and res.nit < 600
+
+    # a flat-bottomed valley: the minimizer inside the plateau repeats
+    def plateau(v):
+        return max(0.0, v[0] * v[0] + v[1] * v[1] - 1.0)
+
+    runs = [minimize(plateau, (2.0, 1.5), [(2.1, 1.5), (2.0, 1.6)], 1e-10, 1e-8, 600)
+            for _ in range(3)]
+    assert runs[0].fun == 0.0
+    assert runs[0].x[0] ** 2 + runs[0].x[1] ** 2 <= 1.0
+    assert all(r == runs[0] for r in runs)
+
+
+def test_minimize_rejects_a_malformed_simplex():
+    with pytest.raises(ValidationError):
+        minimize(rosenbrock, (0.0, 0.0), [(0.1, 0.0)], 1e-10, 1e-8, 600)
+
+
+def test_gree_reports_evaluations_per_family(monkeypatch):
+    # count what the simplex runs evaluate, as a tracer would, and add the
+    # seed pools: 100 points for types I and II, 25 for the others
+    seen = {"calls": 0, "inf": 0}
+    plain = gree_module.minimize
+
+    def counting(fun, x0, *args):
+        def counted(v):
+            value = fun(v)
+            seen["calls"] += 1
+            seen["inf"] += not math.isfinite(value)
+            return value
+        return plain(counted, x0, *args)
+
+    monkeypatch.setattr(gree_module, "minimize", counting)
+    res = gree(pinned_state("fig1"))
+    evaluations = res.diagnostics["evaluations"]
+    assert list(evaluations) == list(res.diagnostics["starts"])
+    pool_sizes = {"I": 100, "II": 100, "III_1": 25, "III_2": 25, "IV": 25}
+    assert all(e["calls"] >= pool_sizes[key] for key, e in evaluations.items())
+    assert all(0 <= e["inf"] <= e["calls"] for e in evaluations.values())
+    assert sum(e["calls"] for e in evaluations.values()) == sum(pool_sizes.values()) + seen["calls"]
+    assert sum(e["inf"] for e in evaluations.values()) >= seen["inf"]
+
+
+def test_importing_the_package_leaves_scipy_optimize_and_sparse_out():
+    code = (
+        "import sys, gree, gree.cli; "
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    )
+    src = str(Path(gree_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == ""
