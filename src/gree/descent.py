@@ -15,9 +15,16 @@ A congruence leaves beta's symplectic spectrum, and so the self term
 S(rho) = sum_j g(gamma_rho_j - 1/2), unchanged: the state carries S(rho)
 from make_state on, and descend checks beta's spectrum against rho's once
 before it returns.  Each transform is a rotation or squeeze on one or two
-coordinate planes, so it is applied to the two or four rows and columns
-of beta (and columns of S_sigma) it touches.  The border monitor asks
-only for the PPT verdict, not for the border residual.
+coordinate planes (the plane table _planes), so it is applied to the two
+or four rows and columns of beta (and columns of S_sigma) it touches.
+
+descent_step runs on plain floats: it reads beta and S_sigma into Python
+rows once, applies every transform of both transform groups with math on
+the touched rows and columns, updates beta_bar and the entropy sum on the
+touched modes only, and builds one DescentState at the end.  The border
+monitor replays the kept transforms through the same kernel, so it sees
+the very iterates the step saw, and asks only for the closed-form PPT
+verdict of gaussian._ppt_verdict, not for the border residual.
 """
 
 import math
@@ -28,6 +35,7 @@ import numpy as np
 from .errors import NumericalGuardError, SearchFailureError, ValidationError
 from .gaussian import (
     _ppt_verdict,
+    bosonic_entropy,
     bosonic_entropy_sum,
     check_physical,
     em_spectrum,
@@ -136,9 +144,13 @@ def initial_state(alpha_rho: np.ndarray, sigma0_em: np.ndarray) -> DescentState:
     return make_state(alpha_rho, s_sigma, gammas)
 
 
+def _sigma_cm(s_sigma: np.ndarray, gammas_sigma: np.ndarray) -> np.ndarray:
+    g = np.concatenate([gammas_sigma, gammas_sigma])
+    return s_sigma * g @ s_sigma.T
+
+
 def sigma_cm_of(state: DescentState) -> np.ndarray:
-    g = np.concatenate([state.gammas_sigma, state.gammas_sigma])
-    return state.s_sigma * g @ state.s_sigma.T
+    return _sigma_cm(state.s_sigma, state.gammas_sigma)
 
 
 def sigma_em_of(state: DescentState) -> np.ndarray:
@@ -176,24 +188,25 @@ def align_gammas(state: DescentState) -> DescentState:
 
 # -- elementary transforms (qqpp ordering, mode count n) ---------------------
 
-def _rot(theta: float) -> np.ndarray:
+def _rot(theta: float) -> Tuple[float, float, float, float]:
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    return (c, s, -s, c)
 
 
-def _sqz(r: float) -> np.ndarray:
+def _sqz(r: float) -> Tuple[float, float, float, float]:
     ch, sh = math.cosh(r), math.sinh(r)
-    return np.array([[ch, sh], [sh, ch]])
+    return (ch, sh, sh, ch)
 
 
 def _planes(n: int, kind: str, params: Tuple) -> Tuple:
-    """The coordinate planes a transform acts on, each with its 2x2 block."""
+    """The coordinate planes (a, b) a transform acts on, each with its 2x2
+    block (t_aa, t_ab, t_ba, t_bb) as plain floats."""
     if kind == "local_rotation":
         i, theta = params
         return (((i, n + i), _rot(theta)),)
     if kind == "local_squeeze":
         i, s = params
-        return (((i, n + i), np.diag([s, 1.0 / s])),)
+        return (((i, n + i), (s, 0.0, 0.0, 1.0 / s)),)
     if kind == "rotation_qq":
         i, j, theta = params
         return (((i, j), _rot(theta)), ((n + i, n + j), _rot(theta)))
@@ -209,57 +222,115 @@ def _planes(n: int, kind: str, params: Tuple) -> Tuple:
     raise ValidationError("unknown transform kind %r" % (kind,))
 
 
-def _restricted(n: int, kind: str, params: Tuple) -> Tuple[list, np.ndarray]:
-    """The coordinates a transform touches and its matrix on them."""
-    planes = _planes(n, kind, params)
-    idx = [k for plane, _ in planes for k in plane]
-    sub = np.zeros((len(idx), len(idx)))
-    for p, (_, block) in enumerate(planes):
-        sub[2 * p:2 * p + 2, 2 * p:2 * p + 2] = block
-    return idx, sub
-
-
 def transform_matrix(n: int, kind: str, params: Tuple) -> np.ndarray:
     """Elementary descent transform embedded in 2n dimensions."""
-    idx, sub = _restricted(n, kind, params)
     t = np.eye(2 * n)
-    t[np.ix_(idx, idx)] = sub
+    for (a, b), (t_aa, t_ab, t_ba, t_bb) in _planes(n, kind, params):
+        t[a, a], t[a, b], t[b, a], t[b, b] = t_aa, t_ab, t_ba, t_bb
     return t
 
 
-def _inverse_params(kind: str, params: Tuple) -> Tuple:
-    if kind == "local_squeeze":
-        return params[:-1] + (1.0 / params[-1],)
-    return params[:-1] + (-params[-1],)
+class _Walk:
+    """A descent iterate on plain floats: beta's rows, S_sigma's columns,
+    beta_bar and the per-mode terms g(beta_bar_j - 1/2) of the objective.
+
+    transform() changes only what a transform touches, in place, and logs
+    it; copy() before branching.  state() builds the DescentState once."""
+
+    __slots__ = ("beta", "s_cols", "bar", "terms", "self_entropy", "objective", "log")
+
+    def __init__(self, state: DescentState):
+        beta = state.beta.tolist()
+        n = len(beta) // 2
+        self.beta = beta
+        self.s_cols = state.s_sigma.T.tolist()
+        self.bar = [0.5 * (beta[j][j] + beta[n + j][n + j]) for j in range(n)]
+        self.terms = [bosonic_entropy(max(b - 0.5, 0.0)) for b in self.bar]
+        self.self_entropy = _carried_self_entropy(state)
+        self.objective = state.objective
+        self.log = []
+
+    def copy(self) -> "_Walk":
+        other = _Walk.__new__(_Walk)
+        # transform() replaces S_sigma's columns whole but edits beta's rows
+        other.beta = [row[:] for row in self.beta]
+        other.s_cols = self.s_cols[:]
+        other.bar = self.bar[:]
+        other.terms = self.terms[:]
+        other.self_entropy = self.self_entropy
+        other.objective = self.objective
+        other.log = self.log[:]
+        return other
+
+    def transform(self, kind: str, params: Tuple) -> None:
+        """beta -> T beta T^T and S_sigma -> S_sigma T^-1 on the touched
+        rows and columns; beta_bar and the objective follow on the touched
+        modes, params[:-1]."""
+        beta = self.beta
+        n = len(self.bar)
+        planes = _planes(n, kind, params)
+        touched = []
+        s_cols = self.s_cols
+        for (a, b), (t_aa, t_ab, t_ba, t_bb) in planes:
+            row_a, row_b = beta[a], beta[b]
+            beta[a] = [t_aa * x + t_ab * y for x, y in zip(row_a, row_b)]
+            beta[b] = [t_ba * x + t_bb * y for x, y in zip(row_a, row_b)]
+            # each block has det 1, so T^-1 acts on the plane by its adjugate
+            col_a, col_b = s_cols[a], s_cols[b]
+            s_cols[a] = [t_bb * x - t_ba * y for x, y in zip(col_a, col_b)]
+            s_cols[b] = [t_aa * y - t_ab * x for x, y in zip(col_a, col_b)]
+            touched += (a, b)
+        # the touched rows now hold (T beta)[k]; finish their touched columns,
+        # then restore symmetry: average the touched block, mirror the rest
+        for k in touched:
+            row = beta[k]
+            for (a, b), (t_aa, t_ab, t_ba, t_bb) in planes:
+                x, y = row[a], row[b]
+                row[a] = t_aa * x + t_ab * y
+                row[b] = t_ba * x + t_bb * y
+        for p, k in enumerate(touched):
+            row = beta[k]
+            for m in touched[p + 1:]:
+                row[m] = beta[m][k] = 0.5 * (row[m] + beta[m][k])
+        for r in range(2 * n):
+            if r not in touched:
+                row = beta[r]
+                for k in touched:
+                    row[k] = beta[k][r]
+
+        bar, terms = self.bar, self.terms
+        modes = params[:-1]
+        for j in modes:
+            bar[j] = 0.5 * (beta[j][j] + beta[n + j][n + j])
+        if min(bar) < 0.5 - _UNCERTAINTY_TOL:
+            raise NumericalGuardError("transform left beta numerically indefinite")
+        for j in modes:
+            terms[j] = bosonic_entropy(max(bar[j] - 0.5, 0.0))
+        self.objective = sum(terms) - self.self_entropy
+        self.log.append((kind, params, self.objective))
+
+    def sigma_cm(self) -> np.ndarray:
+        return _sigma_cm(np.array(self.s_cols).T, np.array(self.bar))
+
+    def state(self, base: DescentState) -> DescentState:
+        """The DescentState this walk reached from base."""
+        if not self.log:
+            return base
+        return DescentState(
+            s_sigma=np.array(self.s_cols).T.copy(),
+            gammas_sigma=np.array(self.bar),
+            beta=np.array(self.beta),
+            objective=self.objective,
+            step_log=base.step_log + tuple(self.log),
+            self_entropy=self.self_entropy,
+        )
 
 
 def _apply(state: DescentState, kind: str, params: Tuple) -> DescentState:
-    """Congruence-transform beta, update sigma accordingly, realign.
-
-    Only the rows and columns the transform touches change: beta's rows,
-    then its columns, and the columns of S_sigma (by the inverse)."""
-    n = state.beta.shape[0] // 2
-    idx, t = _restricted(n, kind, params)
-    _, t_inv = _restricted(n, kind, _inverse_params(kind, params))
-    beta = state.beta.copy()
-    beta[idx] = t @ beta[idx]
-    beta[:, idx] = beta[:, idx] @ t.T
-    beta = 0.5 * (beta + beta.T)
-    s_sigma = state.s_sigma.copy()
-    s_sigma[:, idx] = s_sigma[:, idx] @ t_inv
-    bar = _beta_bar(beta)
-    if np.any(bar < 0.5 - _UNCERTAINTY_TOL):
-        raise NumericalGuardError("transform left beta numerically indefinite")
-    self_entropy = _carried_self_entropy(state)
-    objective = bosonic_entropy_sum(bar - 0.5) - self_entropy
-    return DescentState(
-        s_sigma=s_sigma,
-        gammas_sigma=bar,
-        beta=beta,
-        objective=objective,
-        step_log=state.step_log + ((kind, params, objective),),
-        self_entropy=self_entropy,
-    )
+    """Congruence-transform beta, update sigma accordingly, realign."""
+    walk = _Walk(state)
+    walk.transform(kind, params)
+    return walk.state(state)
 
 
 def _fold_angle(theta: float) -> float:
@@ -271,60 +342,58 @@ def _fold_angle(theta: float) -> float:
     return theta
 
 
-def _prep_local(state: DescentState, i: int) -> DescentState:
+def _prep_local(walk: _Walk, i: int) -> _Walk:
     """Zero beta_{i,n+i} and equalize beta_ii = beta_{n+i,n+i}."""
-    n = state.beta.shape[0] // 2
-    b = state.beta
-    if abs(b[i, n + i]) > COUPLING_FLOOR * max(1.0, b[i, i] + b[n + i, n + i]):
+    n = len(walk.bar)
+    b = walk.beta
+    if abs(b[i][n + i]) > COUPLING_FLOOR * max(1.0, b[i][i] + b[n + i][n + i]):
         theta = _fold_angle(
-            0.5 * math.atan2(2.0 * b[i, n + i], b[i, i] - b[n + i, n + i])
+            0.5 * math.atan2(2.0 * b[i][n + i], b[i][i] - b[n + i][n + i])
         )
         if abs(theta) > PARAM_FLOOR:
-            state = _apply(state, "local_rotation", (i, theta))
-    b = state.beta
-    if b[i, i] <= 0.0 or b[n + i, n + i] <= 0.0:
+            walk.transform("local_rotation", (i, theta))
+    if b[i][i] <= 0.0 or b[n + i][n + i] <= 0.0:
         raise NumericalGuardError("transform left beta numerically indefinite")
-    s = (b[n + i, n + i] / b[i, i]) ** 0.25
+    s = (b[n + i][n + i] / b[i][i]) ** 0.25
     if abs(s - 1.0) > PARAM_FLOOR:
-        state = _apply(state, "local_squeeze", (i, s))
-    return state
+        walk.transform("local_squeeze", (i, s))
+    return walk
 
 
-def _pair_couplings(beta: np.ndarray, i: int, j: int) -> Tuple[float, float, float, float]:
+def _pair_couplings(beta: list, i: int, j: int) -> Tuple[float, float, float, float]:
     """(qq/pp symmetric, qq/pp antisymmetric, qp antisymmetric, qp symmetric)."""
-    n = beta.shape[0] // 2
+    n = len(beta) // 2
     return (
-        0.5 * (beta[i, j] + beta[n + i, n + j]),
-        0.5 * (beta[i, j] - beta[n + i, n + j]),
-        0.5 * (beta[i, n + j] - beta[n + i, j]),
-        0.5 * (beta[i, n + j] + beta[n + i, j]),
+        0.5 * (beta[i][j] + beta[n + i][n + j]),
+        0.5 * (beta[i][j] - beta[n + i][n + j]),
+        0.5 * (beta[i][n + j] - beta[n + i][j]),
+        0.5 * (beta[i][n + j] + beta[n + i][j]),
     )
 
 
-def _group_pass(state: DescentState, i: int, j: int, second_kind: bool) -> DescentState:
+def _group_pass(walk: _Walk, i: int, j: int, second_kind: bool) -> _Walk:
     """Local prep + rotation rounds, then the matching two-mode squeeze."""
     rot_kind = "rotation_qp" if second_kind else "rotation_qq"
     sqz_kind = "squeeze_qp" if second_kind else "squeeze_qq"
+    bar = walk.bar
     for _ in range(INNER_ROUNDS):
-        state = _prep_local(state, i)
-        state = _prep_local(state, j)
-        sym_qq, _, asym_qp, _ = _pair_couplings(state.beta, i, j)
+        _prep_local(walk, i)
+        _prep_local(walk, j)
+        sym_qq, _, asym_qp, _ = _pair_couplings(walk.beta, i, j)
         c = asym_qp if second_kind else sym_qq
-        bar = _beta_bar(state.beta)
         if abs(c) > COUPLING_FLOOR * max(1.0, bar[i] + bar[j]):
             theta = _fold_angle(0.5 * math.atan2(2.0 * c, bar[i] - bar[j]))
             if abs(theta) > PARAM_FLOOR:
-                state = _apply(state, rot_kind, (i, j, theta))
-    _, asym_qq, _, sym_qp = _pair_couplings(state.beta, i, j)
+                walk.transform(rot_kind, (i, j, theta))
+    _, asym_qq, _, sym_qp = _pair_couplings(walk.beta, i, j)
     c = sym_qp if second_kind else asym_qq
-    bar = _beta_bar(state.beta)
     arg = -2.0 * c / (bar[i] + bar[j])
     if abs(arg) >= 1.0:
         raise NumericalGuardError("transform left beta numerically indefinite")
     r = 0.5 * math.atanh(arg)
     if abs(r) > PARAM_FLOOR:
-        state = _apply(state, sqz_kind, (i, j, r))
-    return state
+        walk.transform(sqz_kind, (i, j, r))
+    return walk
 
 
 def descent_step(state: DescentState) -> DescentState:
@@ -334,37 +403,38 @@ def descent_step(state: DescentState) -> DescentState:
     evaluated and the one reaching the lower objective is kept; with no
     inter-mode coupling left, single modes are cleaned up locally, and a
     fully diagonal beta is a fixed point."""
-    n = state.beta.shape[0] // 2
-    beta = state.beta
-    scale = max(1.0, float(np.max(np.abs(beta))))
+    walk = _Walk(state)
+    beta = walk.beta
+    n = len(walk.bar)
+    scale = max(1.0, max(abs(x) for row in beta for x in row))
 
     best_pair, best_size = None, 0.0
     for i in range(n):
         for j in range(i + 1, n):
             size = max(
-                abs(beta[i, j]), abs(beta[n + i, n + j]),
-                abs(beta[i, n + j]), abs(beta[n + i, j]),
+                abs(beta[i][j]), abs(beta[n + i][n + j]),
+                abs(beta[i][n + j]), abs(beta[n + i][j]),
             )
             if size > best_size:
                 best_pair, best_size = (i, j), size
     if best_pair is not None and best_size > 1e-13 * scale:
         i, j = best_pair
-        first = _group_pass(state, i, j, second_kind=False)
-        second = _group_pass(state, i, j, second_kind=True)
+        first = _group_pass(walk.copy(), i, j, second_kind=False)
+        second = _group_pass(walk, i, j, second_kind=True)
         chosen = second if second.objective < first.objective else first
         if chosen.objective > state.objective + MONOTONE_SLACK:
             raise NumericalGuardError("descent step increased the objective")
-        return chosen
+        return chosen.state(state)
 
     # no pair coupling: local cleanup of the worst mode, if any
     worst, size = None, PARAM_FLOOR * scale
     for i in range(n):
-        local = abs(beta[i, n + i]) + abs(beta[i, i] - beta[n + i, n + i])
+        local = abs(beta[i][n + i]) + abs(beta[i][i] - beta[n + i][n + i])
         if local > size:
             worst, size = i, local
     if worst is None:
         return state
-    return _prep_local(state, worst)
+    return _prep_local(walk, worst).state(state)
 
 
 def _bisect_crossing(
@@ -447,17 +517,17 @@ def descend(
         before = state
         stepped = descent_step(before)
         if monitor:
-            replay = before
+            replay = _Walk(before)
             for kind, params, _ in stepped.step_log[len(before.step_log):]:
-                nxt = _apply(replay, kind, params)
-                now = _ppt_verdict(sigma_cm_of(nxt))
+                prev = replay.copy()
+                replay.transform(kind, params)
+                now = _ppt_verdict(replay.sigma_cm())
                 if now != separable:
-                    border = _bisect_crossing(replay, kind, params, separable)
+                    border = _bisect_crossing(prev.state(before), kind, params, separable)
                     marker = ("crossing", (border.objective,), border.objective)
                     border = border._replace(step_log=border.step_log + (marker,))
                     stepped = stepped._replace(step_log=stepped.step_log + (marker,))
                     separable = now
-                replay = nxt
         if before.objective - stepped.objective < CONVERGENCE_TOL:
             state = stepped
             converged = True

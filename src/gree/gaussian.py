@@ -7,6 +7,7 @@ converts between them, evaluates entropies, and provides the two-mode
 standard form, classification, and separability tests.
 """
 
+import math
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import NumericalGuardError, ValidationError
 from .symplectic import (
     WilliamsonResult,
+    _check_symmetric,
     symplectic_form,
     symplectic_eigenvalues,
     williamson,
@@ -25,6 +27,9 @@ PURITY_EPS = 1e-9
 PHYSICAL_TOL = 1e-10
 # a = b test and ratio comparisons in classify
 CLASSIFY_TOL = 1e-9
+# below this relative gap (D^2 - 4 det alpha) / D^2 the closed-form two-mode
+# spectrum has lost about sqrt(eps), and the eigensolver decides instead
+CLOSED_FORM_GAP = 1e-6
 
 
 class StandardForm(NamedTuple):
@@ -57,7 +62,7 @@ def bosonic_entropy(x: float) -> float:
         raise ValidationError("bosonic entropy needs a non-negative argument")
     if x == 0:
         return 0.0
-    return float((x + 1) * np.log1p(x) - x * np.log(x))
+    return (x + 1.0) * math.log1p(x) - x * math.log(x)
 
 
 def bosonic_entropy_sum(x: np.ndarray) -> float:
@@ -286,15 +291,68 @@ def _ppt_verdict(alpha: np.ndarray) -> bool:
     """PPT verdict alone: is the partially transposed two-mode CM physical?
 
     Partial transposition flips the sign of the second mode's momentum.
+    That leaves det A, det B and det alpha alone and flips det C, so both
+    spectra follow from the local invariants: with
+    D = det A + det B +- 2 det C (+ for alpha, - for its partial transpose),
+    nu_+^2 = (D + sqrt(D^2 - 4 det alpha)) / 2 and
+    nu_-^2 = det alpha / nu_+^2.  Where D^2 - 4 det alpha falls below
+    CLOSED_FORM_GAP * D^2 the spectrum is (near-)degenerate and that route
+    loses about sqrt(eps), so symplectic_eigenvalues decides there.
+
+    Raises:
+        ValidationError: alpha is not a symmetric 4x4 matrix, or it
+            violates the uncertainty relation by more than PHYSICAL_TOL.
+        NumericalGuardError: det alpha <= 0, or a spectrum that is not a
+            set of +-i nu pairs.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (4, 4):
         raise ValidationError("separability test is defined for two-mode CMs")
-    check_physical(alpha)
+    alpha = _check_symmetric(alpha)
+    a = alpha.tolist()
+    det_a = a[0][0] * a[2][2] - a[0][2] * a[0][2]
+    det_b = a[1][1] * a[3][3] - a[1][3] * a[1][3]
+    det_c = a[0][1] * a[2][3] - a[0][3] * a[1][2]
+    det_alpha = _det4(a)
+    if det_alpha <= 0.0:
+        raise NumericalGuardError("CM has det alpha = %.12g <= 0" % det_alpha)
+
+    def nu_minus(delta: float, flip: bool) -> float:
+        disc = delta * delta - 4.0 * det_alpha
+        if disc < CLOSED_FORM_GAP * delta * delta:
+            cm = _partial_transpose(alpha) if flip else alpha
+            return float(symplectic_eigenvalues(cm)[-1])
+        if delta <= 0.0:
+            raise NumericalGuardError("symplectic spectrum is not a set of +-i nu pairs")
+        return math.sqrt(det_alpha / (0.5 * (delta + math.sqrt(disc))))
+
+    gamma_min = nu_minus(det_a + det_b + 2.0 * det_c, False)
+    if gamma_min < 0.5 - PHYSICAL_TOL:
+        raise ValidationError(
+            "CM violates the uncertainty relation (min gamma = %.12g)" % gamma_min
+        )
+    return nu_minus(det_a + det_b - 2.0 * det_c, True) >= 0.5 - PHYSICAL_TOL
+
+
+def _partial_transpose(alpha: np.ndarray) -> np.ndarray:
     tilde = alpha.copy()
     tilde[3, :] = -tilde[3, :]
     tilde[:, 3] = -tilde[:, 3]
-    return bool(symplectic_eigenvalues(tilde)[-1] >= 0.5 - PHYSICAL_TOL)
+    return tilde
+
+
+def _det4(a) -> float:
+    """Determinant of a 4x4 matrix given as rows, by 2x2 minors."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13) = a[0], a[1]
+    (a20, a21, a22, a23), (a30, a31, a32, a33) = a[2], a[3]
+    return (
+        (a00 * a11 - a10 * a01) * (a22 * a33 - a32 * a23)
+        - (a00 * a12 - a10 * a02) * (a21 * a33 - a31 * a23)
+        + (a00 * a13 - a10 * a03) * (a21 * a32 - a31 * a22)
+        + (a01 * a12 - a11 * a02) * (a20 * a33 - a30 * a23)
+        - (a01 * a13 - a11 * a03) * (a20 * a32 - a30 * a22)
+        + (a02 * a13 - a12 * a03) * (a20 * a31 - a30 * a21)
+    )
 
 
 def is_separable(alpha: np.ndarray) -> Tuple[bool, float]:

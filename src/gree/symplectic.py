@@ -199,7 +199,13 @@ def symplectic_eigenvalues(alpha: np.ndarray) -> np.ndarray:
     alpha = _check_symmetric(alpha)
     n = alpha.shape[0] // 2
     delta = symplectic_form(n)
-    w = np.linalg.eigvals(-delta @ alpha)  # Delta^-1 = -Delta
+    m = -delta @ alpha  # Delta^-1 = -Delta
+    try:
+        w = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError:
+        # the real QR iteration can stall on nearly repeated +-i gamma
+        # pairs (near-vacuum, near-degenerate CMs); the complex one does not
+        w = np.linalg.eigvals(m.astype(complex))
     scale = max(1.0, float(np.max(np.abs(w))))
     if float(np.max(np.abs(w.real))) > PAIRING_RTOL * scale:
         raise NumericalGuardError("eigenvalues of Delta^-1 alpha are not imaginary pairs")

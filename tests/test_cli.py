@@ -19,6 +19,7 @@ from gree import (
     tmsv_cm,
 )
 from gree.cli import (
+    DESCENT_RISE_TOL,
     dumps_canonical,
     format_float,
     load_document,
@@ -364,6 +365,15 @@ def test_verify_roundtrip_suite(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("roundtrip") and "PASS" in lines[0]
     assert lines[-1] == "overall    PASS"
+
+
+def test_verify_descent_suite_holds_the_rise_bound(capsys):
+    code, out = run(capsys, ["verify", "--suite", "descent"])
+    assert code == 0
+    line = out.splitlines()[0]
+    assert line.startswith("descent") and "PASS" in line
+    assert float(line.split("max rise")[1]) <= DESCENT_RISE_TOL == 1e-11
+    assert out.splitlines()[-1] == "overall    PASS"
 
 
 @pytest.mark.parametrize("dim_args", [[], ["--dim", "80"]], ids=["default", "dim80"])

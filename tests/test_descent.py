@@ -32,7 +32,7 @@ from gree import (
 from gree import descent
 from gree.descent import make_state
 from gree.gaussian import _ppt_verdict
-from conftest import draw_separable_em, thermal_cm
+from conftest import draw_separable_em, eigensolver_ppt_verdict, ppt_margin, thermal_cm
 
 RHO_TWO_MODE = standard_cm(1.2, 0.9, 0.7, 0.6)
 # a two-mode squeezed vacuum r = 0.4 with 10% extra thermal noise
@@ -341,16 +341,22 @@ def test_ppt_verdict_matches_is_separable_across_border_crossings():
         # the partial transform that reached the border, scaled around it
         kind, part, _ = border_state.step_log[-2]
         if kind != "align":
-            back = descent._apply(border_state, kind, descent._inverse_params(kind, part))
+            inverse = part[:-1] + ((1.0 / part[-1]) if kind == "local_squeeze" else -part[-1],)
+            back = descent._apply(border_state, kind, inverse)
             for scale in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
                 if kind == "local_squeeze":
                     scaled = part[:-1] + (part[-1] ** scale,)
                 else:
                     scaled = part[:-1] + (scale * part[-1],)
                 sigmas.append(sigma_cm_of(descent._apply(back, kind, scaled)))
-        for sigma in sigmas:
-            verdicts.append(_ppt_verdict(sigma))
-            assert verdicts[-1] == is_separable(sigma)[0]
+        found = [_ppt_verdict(sigma) for sigma in sigmas]
+        assert found == [is_separable(sigma)[0] for sigma in sigmas]
+        # at the border itself the partial transpose sits within roundoff of
+        # the threshold, where no two verdict routes need agree; 1e-9 to
+        # either side of it, and further out, they must
+        assert all(abs(ppt_margin(sigma)) <= 1e-14 for sigma in sigmas[:2])
+        assert found[2:] == [eigensolver_ppt_verdict(sigma) for sigma in sigmas[2:]]
+        verdicts += found
     assert crossed >= 3
     assert any(verdicts) and not all(verdicts)
 
@@ -382,3 +388,70 @@ def test_descend_guards_the_symplectic_spectrum_of_beta(monkeypatch):
     for stop in ("at_rho", "at_border"):
         with pytest.raises(NumericalGuardError):
             descend(RHO_TWO_MODE, cm_to_em(thermal_cm(1.1, 1.2)), stop=stop)
+
+
+# descend's results on the pinned pairs, recorded before the float kernel
+# (numpy transforms and eigensolver verdicts); the CLI tests' rho with both
+# of their sigma0 documents, and the noisy TMSV from the first of them
+BORDER_EM_NOISY_TMSV = np.array([
+    [2.132771442149881, -0.5322349131865189, 0.0, 0.0],
+    [-0.5322349131865189, 2.1327714421498816, 0.0, 0.0],
+    [0.0, 0.0, 2.132771442149881, 0.5322349131865189],
+    [0.0, 0.0, 0.5322349131865189, 2.1327714421498816],
+])
+BORDER_EM_TWO_MODE = np.array([
+    [1.333412384147372, -0.9515154676325905, 0.0, 0.0],
+    [-0.9515154676325905, 2.3056390772658424, 0.0, 0.0],
+    [0.0, 0.0, 1.2397802775427411, 0.5231962525751351],
+    [0.0, 0.0, 0.5231962525751351, 1.6933653312822048],
+])
+AT_RHO_TWO_MODE = (-1.5543122344752192e-15, [0.9867862448410658, 0.6604944413032301], 0, None)
+AT_BORDER_TWO_MODE = (0.08308129742424453, [1.014306514951407, 0.6881942873181217], 1,
+                      BORDER_EM_TWO_MODE)
+PINNED_DESCENTS = [
+    ("noisy_tmsv", RHO_NOISY_TMSV, (1.3, 1.4), "at_rho",
+     (0.0, [0.5864370745176892, 0.5864370745176893], 0, None)),
+    ("noisy_tmsv", RHO_NOISY_TMSV, (1.3, 1.4), "at_border",
+     (0.26745640159627826, [0.6451880776728377, 0.6451880776728376], 1, BORDER_EM_NOISY_TMSV)),
+    ("cli_border_pair", RHO_TWO_MODE, (1.3, 1.4), "at_rho", AT_RHO_TWO_MODE),
+    ("cli_border_pair", RHO_TWO_MODE, (1.3, 1.4), "at_border", AT_BORDER_TWO_MODE),
+    ("cli_rho_pair", RHO_TWO_MODE, (1.1, 1.2), "at_rho", AT_RHO_TWO_MODE),
+    ("cli_rho_pair", RHO_TWO_MODE, (1.1, 1.2), "at_border", AT_BORDER_TWO_MODE),
+]
+
+
+@pytest.mark.parametrize(
+    "rho, sigma0_gammas, stop, pinned",
+    [case[1:] for case in PINNED_DESCENTS],
+    ids=["%s-%s" % (case[0], case[3]) for case in PINNED_DESCENTS],
+)
+def test_descend_results_stay_pinned(rho, sigma0_gammas, stop, pinned):
+    objective, gammas, crossings, em = pinned
+    state, border_em = descend(rho, cm_to_em(thermal_cm(*sigma0_gammas)), stop=stop)
+    assert abs(state.objective - objective) <= 1e-12
+    assert np.max(np.abs(state.gammas_sigma - gammas)) <= 1e-12
+    assert sum(kind == "crossing" for kind, _, _ in state.step_log) == crossings
+    if em is None:
+        assert border_em is None
+    else:
+        assert np.max(np.abs(border_em - em)) <= 1e-12
+
+
+def test_replayed_transforms_reproduce_the_step_bit_for_bit():
+    """The border monitor replays a step's logged transforms through the
+    float kernel; it must land on exactly the state the step returned."""
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3):
+        alpha = random_cm(rng, n, 0.6, 2.5)
+        state = align_gammas(initial_state(alpha, cm_to_em(random_cm(rng, n, 0.6, 2.5))))
+        for _ in range(4):
+            stepped = descent_step(state)
+            replay = descent._Walk(state)
+            for kind, params, _ in stepped.step_log[len(state.step_log):]:
+                replay.transform(kind, params)
+            again = replay.state(state)
+            assert again.step_log == stepped.step_log
+            for name in ("beta", "s_sigma", "gammas_sigma"):
+                assert np.array_equal(getattr(again, name), getattr(stepped, name))
+            assert again.objective == stepped.objective
+            state = stepped

@@ -34,7 +34,7 @@ from gree import (
     von_neumann_entropy,
 )
 from gree.gaussian import _ppt_verdict, bosonic_entropy_sum
-from conftest import thermal_cm
+from conftest import eigensolver_ppt_verdict, thermal_cm
 
 LN3 = 1.0986122886681098
 
@@ -223,3 +223,55 @@ def test_ppt_verdict_matches_is_separable_on_random_draws():
         _ppt_verdict(np.eye(2))
     with pytest.raises(ValidationError):
         _ppt_verdict(0.1 * np.eye(4))
+
+
+def passive_dressed_cm(gammas, r, theta):
+    """Two-mode squeezed thermal CM with symplectic eigenvalues gammas,
+    then a passive qq rotation (a beam splitter) by theta."""
+    s = elementary_transform("two_mode_rotation_qq", theta) @ elementary_transform(
+        "two_mode_squeeze_qq", r
+    )
+    alpha = s @ thermal_cm(*gammas) @ s.T
+    return 0.5 * (alpha + alpha.T)
+
+
+@pytest.mark.parametrize("excess", [0.0] + [10.0**-k for k in range(12, -1, -1)])
+def test_ppt_verdict_at_a_degenerate_spectrum(excess):
+    """Equal gammas make the CM's spectrum degenerate, the regime where
+    the invariant route loses about sqrt(eps); gammas split by 1e-14 to
+    1e-6 relative sit on either side of the eigensolver fallback band.
+    Excess 0 with r = 0 is the vacuum."""
+    gamma = 0.5 + excess
+    verdicts = []
+    for split in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+        for r in (0.0, 1e-9, 0.02, 0.3, 1.0):
+            for theta in (0.0, 0.3, 0.25 * math.pi, 1.2):
+                alpha = passive_dressed_cm((gamma * (1.0 + split), gamma), r, theta)
+                verdicts.append(_ppt_verdict(alpha))
+                assert verdicts[-1] == eigensolver_ppt_verdict(alpha)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_ppt_verdict_matches_the_eigensolver_on_3000_draws():
+    rng = np.random.default_rng(33)
+    verdicts = []
+    for _ in range(3000):
+        alpha = random_cm(rng, 2)
+        verdicts.append(_ppt_verdict(alpha))
+        assert verdicts[-1] == eigensolver_ppt_verdict(alpha)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_ppt_verdict_errors():
+    alpha = tmst_cm(1.4, 0.6)
+    skewed = alpha.copy()
+    skewed[0, 1] += 1e-6
+    with pytest.raises(ValidationError, match="not symmetric"):
+        _ppt_verdict(skewed)
+    with pytest.raises(ValidationError, match="uncertainty relation"):
+        _ppt_verdict(0.3 * np.eye(4))
+    squeezed_below = passive_dressed_cm((0.45, 0.9), 0.3, 0.2)
+    with pytest.raises(ValidationError, match="uncertainty relation"):
+        _ppt_verdict(squeezed_below)
+    with pytest.raises(NumericalGuardError):
+        _ppt_verdict(np.diag([1.0, 1.0, 1.0, -1.0]))
