@@ -42,6 +42,7 @@ from .gaussian import (
     cm_to_em,
     em_to_cm,
     is_separable,
+    standard_cm,
     standard_form,
     von_neumann_entropy,
 )
@@ -385,10 +386,6 @@ def _cmd_descend(args) -> int:
 # scan command
 
 
-def _tilde_cm(gamma_a: float, gamma_b: float) -> np.ndarray:
-    return np.diag([gamma_a, gamma_b, gamma_a, gamma_b])
-
-
 def _fig12_state(
     recipe: str, gamma_a: float, gamma_b: float, shape: float, offset: float
 ) -> Tuple[np.ndarray, float]:
@@ -409,13 +406,13 @@ def _fig12_state(
         s = elementary_transform("two_mode_squeeze_qq", -r) @ elementary_transform(
             "local_squeeze_X", 1.0 / x
         )
-        return s @ _tilde_cm(gamma_a, gamma_b) @ s.T, sinh_2r
+        return s @ standard_cm(gamma_a, gamma_b, 0.0, 0.0) @ s.T, sinh_2r
     theta = shape
     x = border_x_prime("II", gamma_a, gamma_b, theta) + offset
     s = elementary_transform("two_mode_rotation_qq", -theta) @ elementary_transform(
         "local_squeeze_X", 1.0 / x
     )
-    return s @ _tilde_cm(gamma_a, gamma_b) @ s.T, x
+    return s @ standard_cm(gamma_a, gamma_b, 0.0, 0.0) @ s.T, x
 
 
 def _per_type_cells(cm: np.ndarray, starts: int, seed: int, tol: float):
@@ -547,22 +544,32 @@ def _verify_roundtrip(seed: int) -> Tuple[bool, str]:
     return ok, "states %d   max residual %.3e" % (count, worst)
 
 
+def _oracle_pair(rng: np.random.Generator):
+    """(alpha_rho, alpha_sigma, (g_rho, g_sig, r_rho, r_sig)): two squeezed
+    thermal states for relent-vs-Fock checks.
+
+    sigma is drawn hotter than rho and only mildly squeezed relative to
+    it, so rho stays inside sigma's numerical support at Fock cutoffs of
+    a few tens of levels and the true relative entropy is finite (a cold
+    or crossed-squeezed sigma makes it diverge).
+    """
+    g_rho = rng.uniform(0.55, 1.0, 2)
+    g_sig = rng.uniform(1.1, 1.5, 2)
+    r_rho = rng.uniform(-0.4, 0.4)
+    r_sig = r_rho + rng.uniform(-0.2, 0.2)
+    s_rho = elementary_transform("two_mode_squeeze_qq", r_rho)
+    s_sig = elementary_transform("two_mode_squeeze_qq", r_sig)
+    alpha_rho = s_rho @ standard_cm(*g_rho, 0.0, 0.0) @ s_rho.T
+    alpha_sig = s_sig @ standard_cm(*g_sig, 0.0, 0.0) @ s_sig.T
+    return alpha_rho, alpha_sig, (tuple(g_rho), tuple(g_sig), r_rho, r_sig)
+
+
 def _verify_oracle(seed: int, dim: int) -> Tuple[bool, str]:
     rng = np.random.default_rng(seed)
     tol = 1e-3 if dim < 45 else 2e-4
     worst = 0.0
     for _ in range(6):
-        # sigma hotter than rho and only mildly squeezed relative to it
-        # keeps rho inside sigma's numerical support at these cutoffs
-        # (a cold or crossed-squeezed sigma makes the true value diverge)
-        g_rho = rng.uniform(0.55, 1.0, 2)
-        g_sig = rng.uniform(1.1, 1.5, 2)
-        r_rho = rng.uniform(-0.4, 0.4)
-        r_sig = r_rho + rng.uniform(-0.2, 0.2)
-        s_rho = elementary_transform("two_mode_squeeze_qq", r_rho)
-        s_sig = elementary_transform("two_mode_squeeze_qq", r_sig)
-        alpha = s_rho @ _tilde_cm(*g_rho) @ s_rho.T
-        sigma = s_sig @ _tilde_cm(*g_sig) @ s_sig.T
+        alpha, sigma, (g_rho, g_sig, r_rho, r_sig) = _oracle_pair(rng)
         gauss = relative_entropy(alpha, sigma).value
         f_rho = fock_apply_squeeze(
             fock_product(fock_thermal(g_rho[0], dim), fock_thermal(g_rho[1], dim)),

@@ -15,8 +15,9 @@ A congruence leaves beta's symplectic spectrum, and so the self term
 S(rho) = sum_j g(gamma_rho_j - 1/2), unchanged: the state carries S(rho)
 from make_state on, and descend checks beta's spectrum against rho's once
 before it returns.  Each transform is a rotation or squeeze on one or two
-coordinate planes (the plane table _planes), so it is applied to the two
-or four rows and columns of beta (and columns of S_sigma) it touches.
+coordinate planes (the generator table symplectic._planes), so it is
+applied to the two or four rows and columns of beta (and columns of
+S_sigma) it touches.
 
 descent_step runs on plain floats: it reads beta and S_sigma into Python
 rows once, applies every transform of both transform groups with math on
@@ -41,7 +42,7 @@ from .gaussian import (
     em_spectrum,
     gamma_of_em_spectrum,
 )
-from .symplectic import symplectic_eigenvalues, williamson
+from .symplectic import _embed, _planes, symplectic_eigenvalues, williamson
 
 # convergence and safety knobs for descend()
 MAX_ITERS = 10_000
@@ -60,6 +61,10 @@ COUPLING_FLOOR = 1e-14
 MONOTONE_SLACK = 1e-12
 # relative drift allowed between beta's symplectic spectrum and rho's
 SPECTRUM_TOL = 1e-8
+# a later pair or cleanup mode replaces the current pick only when its size
+# is larger by more than this, relative: sizes that tie in exact arithmetic
+# keep the first candidate whatever roundoff does to them
+SIZE_TIE_RTOL = 1e-12
 
 _UNCERTAINTY_TOL = 1e-9
 
@@ -186,48 +191,9 @@ def align_gammas(state: DescentState) -> DescentState:
     )
 
 
-# -- elementary transforms (qqpp ordering, mode count n) ---------------------
-
-def _rot(theta: float) -> Tuple[float, float, float, float]:
-    c, s = math.cos(theta), math.sin(theta)
-    return (c, s, -s, c)
-
-
-def _sqz(r: float) -> Tuple[float, float, float, float]:
-    ch, sh = math.cosh(r), math.sinh(r)
-    return (ch, sh, sh, ch)
-
-
-def _planes(n: int, kind: str, params: Tuple) -> Tuple:
-    """The coordinate planes (a, b) a transform acts on, each with its 2x2
-    block (t_aa, t_ab, t_ba, t_bb) as plain floats."""
-    if kind == "local_rotation":
-        i, theta = params
-        return (((i, n + i), _rot(theta)),)
-    if kind == "local_squeeze":
-        i, s = params
-        return (((i, n + i), (s, 0.0, 0.0, 1.0 / s)),)
-    if kind == "rotation_qq":
-        i, j, theta = params
-        return (((i, j), _rot(theta)), ((n + i, n + j), _rot(theta)))
-    if kind == "squeeze_qq":
-        i, j, r = params
-        return (((i, j), _sqz(r)), ((n + i, n + j), _sqz(-r)))
-    if kind == "rotation_qp":
-        i, j, theta = params
-        return (((i, n + j), _rot(theta)), ((n + i, j), _rot(-theta)))
-    if kind == "squeeze_qp":
-        i, j, r = params
-        return (((i, n + j), _sqz(r)), ((n + i, j), _sqz(r)))
-    raise ValidationError("unknown transform kind %r" % (kind,))
-
-
 def transform_matrix(n: int, kind: str, params: Tuple) -> np.ndarray:
     """Elementary descent transform embedded in 2n dimensions."""
-    t = np.eye(2 * n)
-    for (a, b), (t_aa, t_ab, t_ba, t_bb) in _planes(n, kind, params):
-        t[a, a], t[a, b], t[b, a], t[b, b] = t_aa, t_ab, t_ba, t_bb
-    return t
+    return _embed(n, _planes(n, kind, params))
 
 
 class _Walk:
@@ -396,13 +362,18 @@ def _group_pass(walk: _Walk, i: int, j: int, second_kind: bool) -> _Walk:
     return walk
 
 
+def _outgrows(size: float, best: float) -> bool:
+    return size - best > SIZE_TIE_RTOL * best
+
+
 def descent_step(state: DescentState) -> DescentState:
     """Run one transform group on the pair with the largest coupling.
 
     Both the first-kind (qq/pp) and the second-kind (qp/pq) group are
     evaluated and the one reaching the lower objective is kept; with no
     inter-mode coupling left, single modes are cleaned up locally, and a
-    fully diagonal beta is a fixed point."""
+    fully diagonal beta is a fixed point.  Of pairs (or modes) whose sizes
+    agree within SIZE_TIE_RTOL the first is taken."""
     walk = _Walk(state)
     beta = walk.beta
     n = len(walk.bar)
@@ -415,7 +386,7 @@ def descent_step(state: DescentState) -> DescentState:
                 abs(beta[i][j]), abs(beta[n + i][n + j]),
                 abs(beta[i][n + j]), abs(beta[n + i][j]),
             )
-            if size > best_size:
+            if _outgrows(size, best_size):
                 best_pair, best_size = (i, j), size
     if best_pair is not None and best_size > 1e-13 * scale:
         i, j = best_pair
@@ -430,7 +401,7 @@ def descent_step(state: DescentState) -> DescentState:
     worst, size = None, PARAM_FLOOR * scale
     for i in range(n):
         local = abs(beta[i][n + i]) + abs(beta[i][i] - beta[n + i][n + i])
-        if local > size:
+        if _outgrows(local, size):
             worst, size = i, local
     if worst is None:
         return state

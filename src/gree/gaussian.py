@@ -16,6 +16,7 @@ from .errors import NumericalGuardError, ValidationError
 from .symplectic import (
     WilliamsonResult,
     _check_symmetric,
+    _embed,
     symplectic_form,
     symplectic_eigenvalues,
     williamson,
@@ -168,13 +169,7 @@ def _mode_blocks(alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _embed_local(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     """Embed per-mode 2x2 matrices (acting on (q_i, p_i)) into qqpp order."""
-    s = np.zeros((4, 4))
-    for blk, i in ((block_a, 0), (block_b, 1)):
-        s[i, i] = blk[0, 0]
-        s[i, i + 2] = blk[0, 1]
-        s[i + 2, i] = blk[1, 0]
-        s[i + 2, i + 2] = blk[1, 1]
-    return s
+    return _embed(2, (((0, 2), block_a.ravel()), ((1, 3), block_b.ravel())))
 
 
 def standard_form(alpha: np.ndarray) -> StandardForm:
@@ -247,12 +242,7 @@ def _sqrtm_inv_2x2(block: np.ndarray) -> np.ndarray:
 
 def standard_cm(a: float, b: float, c1: float, c2: float) -> np.ndarray:
     """Assemble the standard-form CM from its four parameters."""
-    alpha_q = np.array([[a, c1], [c1, b]])
-    alpha_p = np.array([[a, -c2], [-c2, b]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = alpha_q
-    out[2:, 2:] = alpha_p
-    return out
+    return _qp_block_matrix(a, c1, b, a, -c2, b)
 
 
 def classify(sf: StandardForm) -> TypeLabel:
@@ -274,17 +264,35 @@ def classify(sf: StandardForm) -> TypeLabel:
     return TypeLabel(label="III", ratio=float(ratio))
 
 
+def _border_residual(det_a: float, det_b: float, det_c: float, det_alpha: float) -> float:
+    """4 det alpha - det A - det B - 2 |det C| + 1/4: zero exactly on the
+    separable/inseparable border, positive inside the separable set."""
+    return 4.0 * det_alpha - det_a - det_b - 2.0 * abs(det_c) + 0.25
+
+
 def border_residual(sf: StandardForm) -> float:
-    """Residual of 4 det(aq ap) = Tr(aq ap) + 2(|e| - e) - 1/4 on the
-    standard form (e is the product of the actual off-diagonal entries);
-    zero exactly on the separable/inseparable border, positive inside the
-    separable set."""
-    e_q, e_p = sf.c1, -sf.c2
-    prod = e_q * e_p
-    det_q = sf.a * sf.b - e_q * e_q
-    det_p = sf.a * sf.b - e_p * e_p
-    trace = sf.a * sf.a + sf.b * sf.b + 2.0 * prod
-    return float(4.0 * det_q * det_p - trace - 2.0 * (abs(prod) - prod) + 0.25)
+    """The border residual of a standard form, whose local invariants are
+    det A = a^2, det B = b^2, det C = -c1 c2 and
+    det alpha = (ab - c1^2)(ab - c2^2)."""
+    ab = sf.a * sf.b
+    return float(_border_residual(
+        sf.a * sf.a, sf.b * sf.b, -sf.c1 * sf.c2,
+        (ab - sf.c1 * sf.c1) * (ab - sf.c2 * sf.c2),
+    ))
+
+
+def _local_invariants(alpha: np.ndarray) -> Tuple[np.ndarray, float, float, float, float]:
+    """The symmetrized two-mode CM with its det A, det B, det C and
+    det alpha, read from its entries as plain floats."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (4, 4):
+        raise ValidationError("separability test is defined for two-mode CMs")
+    alpha = _check_symmetric(alpha)
+    a = alpha.tolist()
+    det_a = a[0][0] * a[2][2] - a[0][2] * a[0][2]
+    det_b = a[1][1] * a[3][3] - a[1][3] * a[1][3]
+    det_c = a[0][1] * a[2][3] - a[0][3] * a[1][2]
+    return alpha, det_a, det_b, det_c, _det4(a)
 
 
 def _ppt_verdict(alpha: np.ndarray) -> bool:
@@ -305,15 +313,13 @@ def _ppt_verdict(alpha: np.ndarray) -> bool:
         NumericalGuardError: det alpha <= 0, or a spectrum that is not a
             set of +-i nu pairs.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (4, 4):
-        raise ValidationError("separability test is defined for two-mode CMs")
-    alpha = _check_symmetric(alpha)
-    a = alpha.tolist()
-    det_a = a[0][0] * a[2][2] - a[0][2] * a[0][2]
-    det_b = a[1][1] * a[3][3] - a[1][3] * a[1][3]
-    det_c = a[0][1] * a[2][3] - a[0][3] * a[1][2]
-    det_alpha = _det4(a)
+    return _verdict(*_local_invariants(alpha))
+
+
+def _verdict(
+    alpha: np.ndarray, det_a: float, det_b: float, det_c: float, det_alpha: float
+) -> bool:
+    """_ppt_verdict on the output of _local_invariants."""
     if det_alpha <= 0.0:
         raise NumericalGuardError("CM has det alpha = %.12g <= 0" % det_alpha)
 
@@ -359,15 +365,17 @@ def is_separable(alpha: np.ndarray) -> Tuple[bool, float]:
     """PPT separability test for a two-mode CM, with the border residual.
 
     The state is separable iff the CM with the second mode's momentum
-    flipped is still physical.
+    flipped is still physical.  Both the verdict and the residual are read
+    from the local invariants det A, det B, det C and det alpha, so no
+    standard form is built.
 
     Returns:
-        (verdict, residual) where residual is the standard-form border
-        expression, <= 1e-8 in magnitude exactly for border states.
+        (verdict, residual) where residual is
+        4 det alpha - det A - det B - 2 |det C| + 1/4, <= 1e-8 in magnitude
+        exactly for border states.
     """
-    verdict = _ppt_verdict(alpha)
-    residual = border_residual(standard_form(alpha))
-    return verdict, residual
+    invariants = _local_invariants(alpha)
+    return _verdict(*invariants), _border_residual(*invariants[1:])
 
 
 class SymmetricParams(NamedTuple):
@@ -398,7 +406,7 @@ def symmetric_em(p: SymmetricParams) -> np.ndarray:
 
     Uses S_q = (1/sqrt 2)[[s1, s2], [s1, -s2]] with
     s1 = ((m+kq)/(m-kp))^(1/4), s2 = ((m-kq)/(m+kp))^(1/4) and
-    M = (S^T)^-1 diag(Mtilde) S^-1.
+    M = (S^T)^-1 diag(Mtilde) S^-1, whose blocks are _congruence_blocks.
 
     Args:
         p: physical symmetric parameters with both gamma_j > 1/2.
@@ -410,26 +418,43 @@ def symmetric_em(p: SymmetricParams) -> np.ndarray:
         raise NumericalGuardError("pure direction: min gamma = %.12g" % min(ga, gb))
     s1 = ((p.m + p.kq) / (p.m - p.kp)) ** 0.25
     s2 = ((p.m - p.kq) / (p.m + p.kp)) ** 0.25
+    w = 1.0 / math.sqrt(2.0)
     mta, mtb = em_spectrum(np.array([ga, gb]))
-    # (S^T)^-1 for S = S_q (+) (S_q^T)^-1 is (S_q^T)^-1 (+) S_q, so the EM
-    # blocks are M_q = C diag(Mtilde) C^T with C = (S_q^T)^-1, M_p likewise
-    half = 0.5  # from the 1/sqrt(2) factors of C and S_q
-    m_q = half * np.array(
+    return _qp_block_matrix(*_congruence_blocks(s1 * w, s2 * w, s1 * w, -s2 * w, mta, mtb))
+
+
+def _congruence_blocks(
+    s11: float, s12: float, s21: float, s22: float, mta: float, mtb: float
+) -> Tuple[float, float, float, float, float, float]:
+    """Blocks of S^-T diag(Mtilde) S^-1 for the local pair S = S_q (+) S_q^-T:
+    the q block S_q^-T diag(mta, mtb) S_q^-1 and the p block
+    S_q diag(mta, mtb) S_q^T, each as (upper-left, off-diagonal,
+    lower-right)."""
+    det = s11 * s22 - s12 * s21
+    k11, k12, k21, k22 = s22 / det, -s12 / det, -s21 / det, s11 / det
+    return (
+        k11 * k11 * mta + k21 * k21 * mtb,
+        k11 * k12 * mta + k21 * k22 * mtb,
+        k12 * k12 * mta + k22 * k22 * mtb,
+        s11 * s11 * mta + s12 * s12 * mtb,
+        s11 * s21 * mta + s12 * s22 * mtb,
+        s21 * s21 * mta + s22 * s22 * mtb,
+    )
+
+
+def _qp_block_matrix(
+    a1: float, a2: float, a3: float, b1: float, b2: float, b3: float
+) -> np.ndarray:
+    """The 4x4 matrix with q block [[a1, a2], [a2, a3]], p block
+    [[b1, b2], [b2, b3]] and no q-p correlations."""
+    return np.array(
         [
-            [mta / s1**2 + mtb / s2**2, mta / s1**2 - mtb / s2**2],
-            [mta / s1**2 - mtb / s2**2, mta / s1**2 + mtb / s2**2],
+            [a1, a2, 0.0, 0.0],
+            [a2, a3, 0.0, 0.0],
+            [0.0, 0.0, b1, b2],
+            [0.0, 0.0, b2, b3],
         ]
     )
-    m_p = half * np.array(
-        [
-            [mta * s1**2 + mtb * s2**2, mta * s1**2 - mtb * s2**2],
-            [mta * s1**2 - mtb * s2**2, mta * s1**2 + mtb * s2**2],
-        ]
-    )
-    out = np.zeros((4, 4))
-    out[:2, :2] = m_q
-    out[2:, 2:] = m_p
-    return out
 
 
 def tmst_cm(m: float, k: float) -> np.ndarray:

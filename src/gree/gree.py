@@ -27,6 +27,8 @@ from .errors import NumericalGuardError, SearchFailureError, ValidationError
 from .gaussian import (
     PURITY_EPS,
     SymmetricParams,
+    _congruence_blocks,
+    _qp_block_matrix,
     bosonic_entropy_sum,
     check_physical,
     classify,
@@ -157,25 +159,6 @@ def border_x_prime(label: str, gamma_a: float, gamma_b: float, shape: float) -> 
     return x_prime
 
 
-def _congruence_blocks(
-    s11: float, s12: float, s21: float, s22: float, mta: float, mtb: float
-) -> Tuple[float, float, float, float, float, float]:
-    """Blocks of S^-T diag(Mtilde) S^-1 for the local pair S = S_q (+) S_q^-T:
-    the q block S_q^-T diag(mta, mtb) S_q^-1 and the p block
-    S_q diag(mta, mtb) S_q^T, each as (upper-left, off-diagonal,
-    lower-right)."""
-    det = s11 * s22 - s12 * s21
-    k11, k12, k21, k22 = s22 / det, -s12 / det, -s21 / det, s11 / det
-    return (
-        k11 * k11 * mta + k21 * k21 * mtb,
-        k11 * k12 * mta + k21 * k22 * mtb,
-        k12 * k12 * mta + k22 * k22 * mtb,
-        s11 * s11 * mta + s12 * s12 * mtb,
-        s11 * s21 * mta + s12 * s22 * mtb,
-        s21 * s21 * mta + s22 * s22 * mtb,
-    )
-
-
 def _border_blocks(params: BorderParams) -> Tuple[float, float, float, float, float, float]:
     """The q and p blocks (a1, a2, a3, b1, b2, b3) of a border EM, whose
     q-p cross block vanishes in every family."""
@@ -253,15 +236,7 @@ def border_em(params: BorderParams) -> np.ndarray:
         Symmetric positive-definite 4x4 EM whose state lies on the
         separable border.
     """
-    a1, a2, a3, b1, b2, b3 = _border_blocks(params)
-    return np.array(
-        [
-            [a1, a2, 0.0, 0.0],
-            [a2, a3, 0.0, 0.0],
-            [0.0, 0.0, b1, b2],
-            [0.0, 0.0, b2, b3],
-        ]
-    )
+    return _qp_block_matrix(*_border_blocks(params))
 
 
 def _strip_blocks(
@@ -301,34 +276,6 @@ def fold_cross_terms(ms2: float, ms4: float) -> Tuple[float, float]:
     plus = abs(ms2 + ms4)
     minus = abs(ms2 - ms4)
     return -0.5 * (plus + minus), -0.5 * (plus - minus)
-
-
-def _golden_min(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of fun on [lo, hi] with a parabolic polish."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fun(d)
-    u = c if fc < fd else d
-    fu = min(fc, fd)
-    # one parabolic step through (a, u, b)
-    fa, fb = fun(a), fun(b)
-    den = (u - a) * (fu - fb) - (u - b) * (fu - fa)
-    if abs(den) > 1e-300:
-        v = u - 0.5 * ((u - a) ** 2 * (fu - fb) - (u - b) ** 2 * (fu - fa)) / den
-        if lo < v < hi and fun(v) < fu:
-            return v
-    return u
 
 
 def minimize(
@@ -536,13 +483,6 @@ def inner_minimize(
         y_opt=math.sqrt(q / p),
         half_trace=math.sqrt(p * q),
     )
-
-
-def _standard_em(m1: float, m2: float, m3: float, m4: float) -> np.ndarray:
-    out = np.zeros((4, 4))
-    out[:2, :2] = [[m1, m2], [m2, m3]]
-    out[2:, 2:] = [[m1, m4], [m4, m3]]
-    return out
 
 
 def _squeeze_xy(x: float, y: float) -> np.ndarray:
@@ -768,7 +708,8 @@ def gree(
     lowest = min(entry[0] for entry in found.values())
     tied = [key for key, entry in found.items() if entry[0] <= lowest + TIE_TOL]
     value, params, inner = found[tied[0]]
-    m_fold = _standard_em(*inner.m_std)
+    m1, m2, m3, m4 = inner.m_std
+    m_fold = _qp_block_matrix(m1, m2, m3, m1, m4, m3)
     xy = _squeeze_xy(inner.x_opt, inner.y_opt)
     m_best_std = xy @ m_fold @ xy
     best_em = sf.local.T @ m_best_std @ sf.local
@@ -894,7 +835,8 @@ def gree_tmst(m: float, k: float) -> GreeResult:
     """GREE of a two-mode squeezed thermal state (kq = kp = k) via the
     one-variable objective
     f(Mt) = -2 log(2 sinh(Mt/2))
-            + (Mt/2) [(m-k) coth(Mt/2) + (m+k) tanh(Mt/2)].
+            + (Mt/2) [(m-k) coth(Mt/2) + (m+k) tanh(Mt/2)],
+    minimized over log Mt in [-6, 6] by the simplex `minimize`.
 
     Args:
         m, k: TMST parameters; inseparable exactly when m - |k| < 1.
@@ -909,21 +851,24 @@ def gree_tmst(m: float, k: float) -> GreeResult:
     lo_c = m - k
     hi_c = m + k
 
-    def f(u):
-        t = math.exp(u)
+    def f(v):
+        if abs(v[0]) > 6.0:
+            return math.inf
+        t = math.exp(v[0])
         return (
             -2.0 * math.log(2.0 * math.sinh(0.5 * t))
             + 0.5 * t * (lo_c * _coth(0.5 * t) + hi_c * math.tanh(0.5 * t))
         )
 
-    grid = np.linspace(-6.0, 6.0, 49)
-    k_best = int(np.argmin([f(u) for u in grid]))
-    u_opt = _golden_min(f, grid[max(k_best - 1, 0)], grid[min(k_best + 1, 48)])
-    t_opt = math.exp(u_opt)
+    # the best of 49 grid points in log Mt on [-6, 6], then a simplex one
+    # grid step wide
+    x0 = min(((-6.0 + 0.25 * j,) for j in range(49)), key=f)
+    res = minimize(f, x0, [(x0[0] + 0.25,)], 1e-12, 1e-10, 600)
+    t_opt = math.exp(res.x[0])
     sigma = _sigma_from_mtilde(t_opt, t_opt)
     best_em = symmetric_em(sigma)
     gamma_s = 0.5 * _coth(0.5 * t_opt)
-    value = clamp_negative(_self_term(gammas_rho) + f(u_opt), "GREE")
+    value = clamp_negative(_self_term(gammas_rho) + res.fun, "GREE")
     _, border_residual = is_separable(symmetric_cm(sigma))
     return GreeResult(
         value=value,

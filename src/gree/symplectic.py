@@ -5,7 +5,8 @@ generators, symplectic eigenvalues, and the Williamson decomposition
 alpha = S diag(gamma, gamma) S^T used by all state transforms.
 """
 
-from typing import NamedTuple, Sequence, Union
+import math
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,26 +62,61 @@ def _check_constructed(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _embed_rotation(n: int, row: int, col: int, theta: float) -> np.ndarray:
-    """Rotation by theta in the (row, col) coordinate plane of the 2n space."""
-    s = np.eye(2 * n)
-    c, sn = np.cos(theta), np.sin(theta)
-    s[row, row] = c
-    s[row, col] = sn
-    s[col, row] = -sn
-    s[col, col] = c
-    return s
+# -- the generator table (qqpp ordering, mode count n) -----------------------
+
+def _rot(theta: float) -> Tuple[float, float, float, float]:
+    c, s = math.cos(theta), math.sin(theta)
+    return (c, s, -s, c)
 
 
-def _embed_squeeze(n: int, row: int, col: int, r: float) -> np.ndarray:
-    """Hyperbolic mixing by r in the (row, col) coordinate plane."""
-    s = np.eye(2 * n)
-    ch, sh = np.cosh(r), np.sinh(r)
-    s[row, row] = ch
-    s[row, col] = sh
-    s[col, row] = sh
-    s[col, col] = ch
-    return s
+def _sqz(r: float) -> Tuple[float, float, float, float]:
+    ch, sh = math.cosh(r), math.sinh(r)
+    return (ch, sh, sh, ch)
+
+
+def _planes(n: int, kind: str, params: Tuple) -> Tuple:
+    """The coordinate planes (a, b) a generator acts on, each with its 2x2
+    block (t_aa, t_ab, t_ba, t_bb) as plain floats; every block has det 1.
+    The local kinds take (i, value) and act on (q_i, p_i), local_squeeze
+    as diag(s, 1/s); the pair kinds take (i, j, value)."""
+    if kind == "local_rotation":
+        i, theta = params
+        return (((i, n + i), _rot(theta)),)
+    if kind == "local_squeeze":
+        i, s = params
+        return (((i, n + i), (s, 0.0, 0.0, 1.0 / s)),)
+    if kind == "rotation_qq":
+        i, j, theta = params
+        return (((i, j), _rot(theta)), ((n + i, n + j), _rot(theta)))
+    if kind == "squeeze_qq":
+        i, j, r = params
+        return (((i, j), _sqz(r)), ((n + i, n + j), _sqz(-r)))
+    if kind == "rotation_qp":
+        i, j, theta = params
+        return (((i, n + j), _rot(theta)), ((n + i, j), _rot(-theta)))
+    if kind == "squeeze_qp":
+        i, j, r = params
+        return (((i, n + j), _sqz(r)), ((n + i, j), _sqz(r)))
+    raise ValidationError("unknown transform kind %r" % (kind,))
+
+
+def _embed(n: int, planes: Tuple) -> np.ndarray:
+    """The 2n x 2n identity with each plane's block written in."""
+    t = np.eye(2 * n)
+    for (a, b), (t_aa, t_ab, t_ba, t_bb) in planes:
+        t[a, a], t[a, b], t[b, a], t[b, b] = t_aa, t_ab, t_ba, t_bb
+    return t
+
+
+# elementary_transform's two-mode kinds: two_mode_<kind> is the table's <kind>
+_TWO_MODE_KINDS = (
+    "two_mode_rotation_qq", "two_mode_squeeze_qq", "two_mode_rotation_qp", "two_mode_squeeze_qp"
+)
+
+
+def _local_pair(kind: str, value_a: float, value_b: float) -> np.ndarray:
+    """One local table kind on both modes of a two-mode embedding."""
+    return _embed(2, _planes(2, kind, (0, value_a)) + _planes(2, kind, (1, value_b)))
 
 
 def elementary_transform(
@@ -117,17 +153,11 @@ def elementary_transform(
     if not np.all(np.isfinite(np.atleast_1d(params))):
         raise ValidationError("transform parameters must be finite")
 
-    def pair():
-        ij = (0, 1) if modes is None else tuple(modes)
-        if len(ij) != 2 or not all(0 <= k < n for k in ij) or ij[0] == ij[1]:
-            raise ValidationError("invalid mode pair %r" % (ij,))
-        return ij
-
     if kind == "local_rotation":
         i = 0 if modes is None else int(modes)
         if not 0 <= i < n:
             raise ValidationError("invalid mode index %r" % (modes,))
-        return _check_constructed(_embed_rotation(n, i, n + i, float(params)))
+        return _check_constructed(_embed(n, _planes(n, kind, (i, float(params)))))
 
     if kind in ("local_squeeze_X", "local_squeeze_Y"):
         if n != 2:
@@ -135,42 +165,25 @@ def elementary_transform(
         v = float(params)
         if v <= 0:
             raise ValidationError("squeeze scale must be positive")
-        w = np.sqrt(v)
-        if kind == "local_squeeze_X":
-            return _check_constructed(np.diag([w, 1 / w, 1 / w, w]))
-        return _check_constructed(np.diag([w, w, 1 / w, 1 / w]))
+        w = math.sqrt(v)
+        return _check_constructed(
+            _local_pair("local_squeeze", w, 1.0 / w if kind == "local_squeeze_X" else w)
+        )
 
-    if kind == "two_mode_rotation_qq":
-        i, j = pair()
-        t = float(params)
-        s = _embed_rotation(n, i, j, t) @ _embed_rotation(n, n + i, n + j, t)
-        return _check_constructed(s)
-
-    if kind == "two_mode_squeeze_qq":
-        i, j = pair()
-        r = float(params)
-        s = _embed_squeeze(n, i, j, r) @ _embed_squeeze(n, n + i, n + j, -r)
-        return _check_constructed(s)
-
-    if kind == "two_mode_rotation_qp":
-        i, j = pair()
-        t = float(params)
-        s = _embed_rotation(n, i, n + j, t) @ _embed_rotation(n, j, n + i, t)
-        return _check_constructed(s)
-
-    if kind == "two_mode_squeeze_qp":
-        i, j = pair()
-        r = float(params)
-        s = _embed_squeeze(n, i, n + j, r) @ _embed_squeeze(n, j, n + i, r)
-        return _check_constructed(s)
+    if kind in _TWO_MODE_KINDS:
+        ij = (0, 1) if modes is None else tuple(modes)
+        if len(ij) != 2 or not all(0 <= k < n for k in ij) or ij[0] == ij[1]:
+            raise ValidationError("invalid mode pair %r" % (ij,))
+        planes = _planes(n, kind[len("two_mode_"):], ij + (float(params),))
+        return _check_constructed(_embed(n, planes))
 
     if kind == "general_local":
         if n != 2:
             raise ValidationError("general_local is defined for n=2")
         ta1, tb1, tau_a, tau_b, ta2, tb2 = (float(p) for p in params)
-        l1 = _embed_rotation(2, 0, 2, ta1) @ _embed_rotation(2, 1, 3, tb1)
-        l2 = np.diag([np.exp(tau_a), np.exp(tau_b), np.exp(-tau_a), np.exp(-tau_b)])
-        l3 = _embed_rotation(2, 0, 2, ta2) @ _embed_rotation(2, 1, 3, tb2)
+        l1 = _local_pair("local_rotation", ta1, tb1)
+        l2 = _local_pair("local_squeeze", math.exp(tau_a), math.exp(tau_b))
+        l3 = _local_pair("local_rotation", ta2, tb2)
         return _check_constructed(l3 @ l2 @ l1)
 
     raise ValidationError("unknown transform kind %r" % (kind,))

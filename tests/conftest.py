@@ -5,11 +5,11 @@ import numpy as np
 from gree import (
     ValidationError,
     cm_to_em,
-    elementary_transform,
     is_separable,
     random_cm,
     symplectic_eigenvalues,
 )
+from gree.cli import _oracle_pair as oracle_pair  # noqa: F401  (shared with verify)
 from gree.gaussian import PHYSICAL_TOL
 
 
@@ -44,21 +44,3 @@ def draw_separable_cm(rng, gamma_lo=0.55, gamma_hi=1.7):
 
 def draw_separable_em(rng, gamma_lo=0.55, gamma_hi=1.7):
     return cm_to_em(draw_separable_cm(rng, gamma_lo, gamma_hi))
-
-
-def oracle_pair(rng):
-    """(alpha_rho, alpha_sigma, fock build params) for relent-vs-Fock checks.
-
-    sigma is drawn hotter than rho and only mildly squeezed relative to
-    it, so rho stays inside sigma's numerical support at Fock cutoffs of
-    a few tens of levels and the true relative entropy is finite.
-    """
-    g_rho = rng.uniform(0.55, 1.0, 2)
-    g_sig = rng.uniform(1.1, 1.5, 2)
-    r_rho = rng.uniform(-0.4, 0.4)
-    r_sig = r_rho + rng.uniform(-0.2, 0.2)
-    s_rho = elementary_transform("two_mode_squeeze_qq", r_rho)
-    s_sig = elementary_transform("two_mode_squeeze_qq", r_sig)
-    alpha_rho = s_rho @ thermal_cm(*g_rho) @ s_rho.T
-    alpha_sig = s_sig @ thermal_cm(*g_sig) @ s_sig.T
-    return alpha_rho, alpha_sig, (tuple(g_rho), tuple(g_sig), r_rho, r_sig)

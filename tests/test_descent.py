@@ -455,3 +455,17 @@ def test_replayed_transforms_reproduce_the_step_bit_for_bit():
                 assert np.array_equal(getattr(again, name), getattr(stepped, name))
             assert again.objective == stepped.objective
             state = stepped
+
+
+@pytest.mark.parametrize("stop,sigma0_gammas", [("at_rho", (1.1, 1.2)), ("at_border", (1.3, 1.4))])
+def test_step_choices_do_not_follow_roundoff(stop, sigma0_gammas):
+    """Pair and cleanup-mode sizes that tie in exact arithmetic pick the
+    first candidate: scaling rho by 1 + 2^-52 keeps every kind and mode of
+    the step log (the two local cleanups after the CLI pair's last squeeze
+    tie exactly and act on disjoint planes)."""
+    sigma0 = cm_to_em(thermal_cm(*sigma0_gammas))
+    logs = []
+    for scale in (1.0, 1.0 + 2.0 ** -52):
+        state, _ = descend(RHO_TWO_MODE * scale, sigma0, stop=stop)
+        logs.append([(kind, params[:-1]) for kind, params, _ in state.step_log])
+    assert logs[0] == logs[1]

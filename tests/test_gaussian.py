@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gree import (
+    BorderParams,
     NumericalGuardError,
     StandardForm,
     SymmetricParams,
     ValidationError,
+    border_em,
     border_residual,
+    border_x_prime,
     bosonic_entropy,
     check_physical,
     classify,
@@ -175,6 +178,57 @@ def test_border_residual_on_separable_border():
     c = gamma - 0.5
     sf = standard_form(standard_cm(gamma, gamma, c, c))
     assert abs(border_residual(sf)) < 1e-10
+
+
+def standard_form_residual(sf):
+    """The border residual as the standard form spells it:
+    4 det(aq ap) - Tr(aq ap) - 2(|e| - e) + 1/4 with e = c1 (-c2)."""
+    e = -sf.c1 * sf.c2
+    det_q = sf.a * sf.b - sf.c1 ** 2
+    det_p = sf.a * sf.b - sf.c2 ** 2
+    trace = sf.a ** 2 + sf.b ** 2 + 2.0 * e
+    return 4.0 * det_q * det_p - trace - 2.0 * (abs(e) - e) + 0.25
+
+
+def residual_scale(sf):
+    """Sum of the magnitudes of the residual's terms."""
+    ab = sf.a * sf.b
+    det_alpha = (ab - sf.c1 ** 2) * (ab - sf.c2 ** 2)
+    return 4.0 * abs(det_alpha) + sf.a ** 2 + sf.b ** 2 + 2.0 * abs(sf.c1 * sf.c2) + 0.25
+
+
+def on_border_cms(rng):
+    """Border states: a = b = g, c1 = c2 = g - 1/2, bare and dressed by a
+    random local symplectic, and the CMs of border EMs of every family."""
+    out = []
+    for g in (0.6, 0.9, 1.5, 3.0):
+        bare = standard_cm(g, g, g - 0.5, g - 0.5)
+        local = elementary_transform("general_local", tuple(rng.uniform(-1.0, 1.0, 6)))
+        out += [bare, local @ bare @ local.T]
+    for label, shape in (("I", 0.3), ("II", 0.6)):
+        x_prime = border_x_prime(label, 1.3, 0.9, shape)
+        out.append(em_to_cm(border_em(BorderParams(label, 1.3, 0.9, shape, x_prime))))
+    for params in (BorderParams("III", 1.2, 0.8, 1.0, 1.0),
+                   BorderParams("III", 0.9, 1.7, 2.0, 1.0),
+                   BorderParams("IV", 1.1, 1.4, 0.0, 1.0)):
+        out.append(em_to_cm(border_em(params)))
+    return out
+
+
+def test_invariant_residual_matches_the_standard_form_expression():
+    rng = np.random.default_rng(13)
+    draws = [random_cm(rng, 2) for _ in range(3000)]
+    border = on_border_cms(rng)
+    for alpha in draws + border:
+        sf = standard_form(alpha)
+        expect = standard_form_residual(sf)
+        scale = residual_scale(sf)
+        verdict, residual = is_separable(alpha)
+        assert verdict == _ppt_verdict(alpha)
+        assert abs(residual - expect) <= 1e-12 * scale
+        assert abs(border_residual(sf) - expect) <= 1e-12 * scale
+    for alpha in border:
+        assert abs(is_separable(alpha)[1]) < 1e-10
 
 
 def test_symmetric_params_and_gammas():

@@ -415,19 +415,26 @@ def test_inner_minimize_matches_dense_grid():
     assert matched >= 100 and raised >= 10 and off_bracket >= 20
 
 
-# default gree() at starts=32 before the start budget: the value, then
-# the per-family minima I, II, III, IV
+# default gree(): the value, the label, then the per-family minima I, II,
+# III, IV; the first four recorded before the start budget, tmst and
+# symmetric before the shared generator table and invariant residual
 PINNED = {
-    "fig1": (0.7550057071828664,
+    "fig1": (0.7550057071828664, "I",
              (0.7550057071828664, 0.7557400563105754, 0.7557400563105665, 0.7561760786786775)),
-    "fig2": (0.02182972987007714,
+    "fig2": (0.02182972987007714, "II",
              (0.022006914354501417, 0.02182972987007714, 0.022006914354495866,
               0.022888440902640195)),
-    "tmsv": (0.7341251564695732,
+    "tmsv": (0.7341251564695732, "I",
              (0.7341251564695734, 0.7341251564695732, 0.7341251564695739, 0.7341251564695739)),
-    "standard": (0.048828691185982986,
+    "standard": (0.048828691185982986, "I",
                  (0.048828691185982986, 0.048914193841594455, 0.04891419384158935,
                   0.08804518770348335)),
+    "tmst": (0.17833072225230362, "I",
+             (0.17833072225230362, 0.17833072225230362, 0.17833072225230318,
+              0.17833072225230362)),
+    "symmetric": (0.007839546502098838, "II",
+                  (0.013694980799571876, 0.007839546502098838, 0.013694980799563883,
+                   0.007839546502098838)),
 }
 
 
@@ -438,20 +445,37 @@ def pinned_state(name):
         return _fig12_state("fig2", 1.3, 1.5, 0.5 * math.asinh(0.5), 1.5)[0]
     if name == "tmsv":
         return tmsv_cm(0.5)
+    if name == "tmst":
+        return tmst_cm(1.5, 0.9)
+    if name == "symmetric":
+        return symmetric_cm(SymmetricParams(2.0, 1.2, 1.0))
     return standard_cm(1.2, 0.9, 0.7, 0.6)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_default_gree_matches_pinned_values(name):
-    value, per_family = PINNED[name]
+    value, label, per_family = PINNED[name]
     res = gree(pinned_state(name))
-    assert abs(res.value - value) <= 1e-10
+    assert abs(res.value - value) <= 1e-12
+    assert res.label == label
     per_type = res.diagnostics["per_type"]
-    for label, expected in zip(("I", "II", "III", "IV"), per_family):
-        assert abs(per_type[label] - expected) <= 1e-10
+    for family, expected in zip(("I", "II", "III", "IV"), per_family):
+        assert abs(per_type[family] - expected) <= 1e-12
     starts = res.diagnostics["starts"]
     assert list(starts) == ["I", "II", "III_1", "III_2", "IV"]
     assert all(1 <= n <= 32 for n in starts.values())
+
+
+def test_closed_route_values_and_labels_are_pinned():
+    res = gree_symmetric(SymmetricParams(2.0, 1.2, 1.0))
+    assert abs(res.value - 0.007839546502098838) <= 1e-12
+    assert res.label == "IV"
+    res = gree_symmetric(SymmetricParams(1.5, 0.9, 0.9))
+    assert abs(res.value - 0.1783307222523035) <= 1e-12
+    res = gree_tmst(1.5, 0.9)
+    assert abs(res.value - 0.17833072225230395) <= 1e-12
+    assert res.label == "IV"
+    assert abs(res.diagnostics["minimizer_mtilde"] - 1.6247283563752115) <= 1e-7
 
 
 def test_gree_label_is_stable_under_ties_and_start_counts():

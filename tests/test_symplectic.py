@@ -1,5 +1,7 @@
 """Tests for the symplectic form, elementary transforms, and Williamson."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gree import (
     symplectic_form,
     williamson,
 )
+from gree.descent import transform_matrix
 from conftest import thermal_cm
 
 RECON_TOL = 1e-10
@@ -99,6 +102,99 @@ def test_elementary_transform_input_validation():
         elementary_transform("local_rotation", np.nan)
     with pytest.raises(ValidationError):
         elementary_transform("local_squeeze_X", -1.0)
+
+
+# the generator table against matrices written out entry by entry: each
+# case is (table kind, params, n, the entries that differ from the identity)
+C, S = math.cos(0.7), math.sin(0.7)
+CH, SH = math.cosh(0.4), math.sinh(0.4)
+TABLE_CASES = [
+    ("local_rotation", (1, 0.7), 2, {(1, 1): C, (1, 3): S, (3, 1): -S, (3, 3): C}),
+    ("local_rotation", (2, 0.7), 3, {(2, 2): C, (2, 5): S, (5, 2): -S, (5, 5): C}),
+    ("local_squeeze", (0, 1.3), 2, {(0, 0): 1.3, (2, 2): 1 / 1.3}),
+    ("local_squeeze", (1, 1.3), 3, {(1, 1): 1.3, (4, 4): 1 / 1.3}),
+    ("rotation_qq", (0, 1, 0.7), 2, {
+        (0, 0): C, (0, 1): S, (1, 0): -S, (1, 1): C,
+        (2, 2): C, (2, 3): S, (3, 2): -S, (3, 3): C}),
+    ("rotation_qq", (0, 2, 0.7), 3, {
+        (0, 0): C, (0, 2): S, (2, 0): -S, (2, 2): C,
+        (3, 3): C, (3, 5): S, (5, 3): -S, (5, 5): C}),
+    ("squeeze_qq", (0, 1, 0.4), 2, {
+        (0, 0): CH, (0, 1): SH, (1, 0): SH, (1, 1): CH,
+        (2, 2): CH, (2, 3): -SH, (3, 2): -SH, (3, 3): CH}),
+    ("squeeze_qq", (1, 2, 0.4), 3, {
+        (1, 1): CH, (1, 2): SH, (2, 1): SH, (2, 2): CH,
+        (4, 4): CH, (4, 5): -SH, (5, 4): -SH, (5, 5): CH}),
+    ("rotation_qp", (0, 1, 0.7), 2, {
+        (0, 0): C, (0, 3): S, (3, 0): -S, (3, 3): C,
+        (1, 1): C, (1, 2): S, (2, 1): -S, (2, 2): C}),
+    ("rotation_qp", (0, 2, 0.7), 3, {
+        (0, 0): C, (0, 5): S, (5, 0): -S, (5, 5): C,
+        (2, 2): C, (2, 3): S, (3, 2): -S, (3, 3): C}),
+    ("squeeze_qp", (0, 1, 0.4), 2, {
+        (0, 0): CH, (0, 3): SH, (3, 0): SH, (3, 3): CH,
+        (1, 1): CH, (1, 2): SH, (2, 1): SH, (2, 2): CH}),
+    ("squeeze_qp", (1, 2, 0.4), 3, {
+        (1, 1): CH, (1, 5): SH, (5, 1): SH, (5, 5): CH,
+        (2, 2): CH, (2, 4): SH, (4, 2): SH, (4, 4): CH}),
+]
+TWO_MODE_KINDS = {
+    "rotation_qq": "two_mode_rotation_qq",
+    "squeeze_qq": "two_mode_squeeze_qq",
+    "rotation_qp": "two_mode_rotation_qp",
+    "squeeze_qp": "two_mode_squeeze_qp",
+}
+
+
+def written_out(n, entries):
+    t = np.eye(2 * n)
+    for (row, col), value in entries.items():
+        t[row, col] = value
+    return t
+
+
+@pytest.mark.parametrize("kind,params,n,entries", TABLE_CASES)
+def test_generator_table_matches_written_out_matrices(kind, params, n, entries):
+    expect = written_out(n, entries)
+    np.testing.assert_allclose(transform_matrix(n, kind, params), expect, rtol=0, atol=1e-15)
+    if kind == "local_rotation":
+        got = elementary_transform(kind, params[1], modes=params[0], n=n)
+    elif kind in TWO_MODE_KINDS:
+        got = elementary_transform(TWO_MODE_KINDS[kind], params[2], modes=params[:2], n=n)
+    else:
+        return  # local_squeeze is a descent kind only
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+
+
+def test_two_mode_local_kinds_match_written_out_matrices():
+    w = math.sqrt(1.3)
+    np.testing.assert_allclose(
+        elementary_transform("local_squeeze_X", 1.3), np.diag([w, 1 / w, 1 / w, w]),
+        rtol=0, atol=1e-15,
+    )
+    np.testing.assert_allclose(
+        elementary_transform("local_squeeze_Y", 1.3), np.diag([w, w, 1 / w, 1 / w]),
+        rtol=0, atol=1e-15,
+    )
+    ta1, tb1, tau_a, tau_b, ta2, tb2 = 0.3, -0.2, 0.25, -0.15, 0.1, 0.4
+
+    def rotations(ta, tb):
+        ca, sa, cb, sb = math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb)
+        return written_out(2, {
+            (0, 0): ca, (0, 2): sa, (2, 0): -sa, (2, 2): ca,
+            (1, 1): cb, (1, 3): sb, (3, 1): -sb, (3, 3): cb})
+
+    squeeze = np.diag([math.exp(tau_a), math.exp(tau_b), math.exp(-tau_a), math.exp(-tau_b)])
+    np.testing.assert_allclose(
+        elementary_transform("general_local", (ta1, tb1, tau_a, tau_b, ta2, tb2)),
+        rotations(ta2, tb2) @ squeeze @ rotations(ta1, tb1),
+        rtol=0, atol=1e-15,
+    )
+    # the standard-form squeezes and general_local exist at n = 2 only
+    for kind, params in (("local_squeeze_X", 1.3), ("local_squeeze_Y", 1.3),
+                         ("general_local", (ta1, tb1, tau_a, tau_b, ta2, tb2))):
+        with pytest.raises(ValidationError):
+            elementary_transform(kind, params, n=3)
 
 
 def test_symplectic_eigenvalues_thermal():
