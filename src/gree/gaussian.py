@@ -175,12 +175,13 @@ def _embed_local(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
 def standard_form(alpha: np.ndarray) -> StandardForm:
     """Reduce a two-mode CM to its local-invariant standard form.
 
-    The explicit local symplectic is built from the per-mode Williamson
+    One read of the local invariants det A, det B, det C and det alpha
+    checks physicality (the closed-form verdict) and the parameters.  The
+    explicit local symplectic is built from the per-mode Williamson
     reductions and the rotation pair that diagonalizes the cross block;
     a = sqrt(det A), b = sqrt(det B) and (c1, c2) come from the reduced
-    cross block, ordered c1 >= |c2|.  The parameters are checked against
-    the local invariants: c1^2 and c2^2 must solve z^2 - s z + (det C)^2
-    with s = ((ab)^2 + (det C)^2 - det alpha)/(ab).
+    cross block, ordered c1 >= |c2|; c1^2 and c2^2 must solve
+    z^2 - s z + (det C)^2 with s = ((ab)^2 + (det C)^2 - det alpha)/(ab).
 
     Args:
         alpha: physical two-mode CM.
@@ -192,11 +193,10 @@ def standard_form(alpha: np.ndarray) -> StandardForm:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (4, 4):
         raise ValidationError("standard form is defined for two-mode CMs")
-    check_physical(alpha)
+    alpha, det_a, det_b, det_c, det_alpha = _local_invariants(alpha)
+    _verdict(alpha, det_a, det_b, det_c, det_alpha)
     block_a, block_b, block_c = _mode_blocks(alpha)
-    det_a, det_b, det_c = map(np.linalg.det, (block_a, block_b, block_c))
-    det_alpha = np.linalg.det(alpha)
-    a, b = np.sqrt(det_a), np.sqrt(det_b)
+    a, b = math.sqrt(det_a), math.sqrt(det_b)
     ab = a * b
 
     # explicit local symplectic: per-mode Williamson, then the rotation pair

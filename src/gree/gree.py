@@ -6,8 +6,9 @@ covered by four families of border exponential matrices (types I-IV).
 The outer search runs over each family's two or three parameters; every
 candidate is completed by closed-form y-elimination and a 1-D search in
 the local squeeze x.  Symmetric states admit a two-variable objective and
-two-mode squeezed thermal states a one-variable one; both are provided as
-independent routes.
+two-mode squeezed thermal states take it on its diagonal; both are
+provided as independent routes.  All three routes run one multistart
+simplex driver (`_multistart`) over a sorted seed pool.
 
 The searches run on plain Python floats: a Nelder-Mead simplex in this
 module (`minimize`, scipy's non-adaptive method step for step) over an
@@ -52,10 +53,10 @@ LOG_X_BRACKET = 6.0
 _X_LO, _X_HI = math.exp(-LOG_X_BRACKET), math.exp(LOG_X_BRACKET)
 # the bracket in z = x - 1/x
 _Z_LO, _Z_HI = _X_LO - 1.0 / _X_LO, _X_HI - 1.0 / _X_HI
-# edge of the initial simplex along every search variable; the default
-# simplex (_default_simplex) steps 5% of a coordinate, or 0.00025 where it
-# is 0 (the log-gap anchor of any gamma = 3/2), and such a flat simplex
-# stalls away from the minimum
+# edge of the initial simplex along every search variable; scipy's default
+# simplex steps 5% of a coordinate, or 0.00025 where it is 0 (the log-gap
+# anchor of any gamma = 3/2), and such a flat simplex stalls away from the
+# minimum
 SIMPLEX_STEP = 0.1
 
 # ranks the (value, vertex) pairs of a simplex
@@ -357,17 +358,6 @@ def minimize(
     return SimplexResult(x=best, fun=f_best, nit=nit)
 
 
-def _default_simplex(x0: Sequence[float]) -> list:
-    """The other N vertices of scipy's default initial simplex at x0:
-    coordinate k stepped by 5%, or set to 0.00025 where it is 0."""
-    vertices = []
-    for k, c in enumerate(x0):
-        v = list(x0)
-        v[k] = 1.05 * c if c != 0 else 0.00025
-        vertices.append(v)
-    return vertices
-
-
 def _inner_core(
     a1: float, a2: float, a3: float, a4: float,
     m1: float, m2: float, m3: float, m4: float,
@@ -504,15 +494,6 @@ def _neg_log_c(gamma_a: float, gamma_b: float) -> float:
     return 0.5 * (math.log(gamma_a**2 - 0.25) + math.log(gamma_b**2 - 0.25))
 
 
-def _confirmed(minima: Sequence[float], tol: float) -> bool:
-    """True once the lowest simplex minimum is matched within tol by a
-    second start."""
-    if len(minima) < 2:
-        return False
-    first, second = sorted(minima)[:2]
-    return second - first <= tol
-
-
 def _seeds(pool: Sequence[tuple], starts: int, rng: np.random.Generator) -> list:
     """The first `starts` points of a sorted seed pool; past its end the
     points cycle again, each jittered by 0.3 standard normals."""
@@ -525,12 +506,65 @@ def _seeds(pool: Sequence[tuple], starts: int, rng: np.random.Generator) -> list
     return seeds
 
 
-def _separable_result(alpha_rho: np.ndarray, gammas: np.ndarray, residual: float) -> GreeResult:
+def _multistart(
+    fun: Callable[[tuple], float], pool: Sequence[tuple], starts: int,
+    rng: Optional[np.random.Generator], fatol: float, xatol: float,
+) -> Tuple[Tuple[float, Optional[tuple]], int, int]:
+    """Multistart simplex minimum of fun over a seed pool.
+
+    The pool is scored and sorted stably, best first; its first `starts`
+    points (_seeds, with rng for the jittered ones past its end) start
+    simplices SIMPLEX_STEP wide.  The runs stop once two of them agree on
+    the lowest minimum within fatol, after `starts` runs, or before the
+    first when even the best pool point is infeasible.
+
+    Returns:
+        ((value, x) of the best run, or (inf, None) when no run found a
+        finite value), the starts run and their total iterations.
+    """
+    scores = [fun(p) for p in pool]
+    order = sorted(range(len(pool)), key=scores.__getitem__)
+    seeds = _seeds([pool[i] for i in order], starts, rng)
+    best, minima, nit = (math.inf, None), [], 0
+    # the pool is sorted, so an infeasible best point means all are
+    if math.isfinite(scores[order[0]]):
+        for x0 in seeds:
+            simplex = [
+                tuple(c + SIMPLEX_STEP if j == k else c for j, c in enumerate(x0))
+                for k in range(len(x0))
+            ]
+            res = minimize(fun, x0, simplex, fatol, xatol, 600)
+            nit += res.nit
+            minima.append(res.fun)
+            if res.fun < best[0]:
+                best = (res.fun, res.x)
+            # a second start within fatol of the lowest minimum confirms it
+            if len(minima) > 1 and sorted(minima)[1] - best[0] <= fatol:
+                break
+    return best, len(minima), nit
+
+
+def _check_knobs(starts: int, tol: Optional[float] = None) -> None:
+    """Reject a start cap below 1 and a tolerance that is not finite and
+    positive."""
+    if not starts >= 1:
+        raise ValidationError("starts must be at least 1, got %r" % (starts,))
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValidationError("tol must be finite and positive, got %r" % (tol,))
+
+
+def _entry(alpha_rho: np.ndarray) -> Tuple[np.ndarray, Optional[GreeResult]]:
+    """rho's symplectic eigenvalues, with the GREE result 0 when rho is
+    separable (None otherwise)."""
+    gammas = check_physical(alpha_rho)
+    separable, residual = is_separable(alpha_rho)
+    if not separable:
+        return gammas, None
     try:
         best_em = cm_to_em(alpha_rho) if gammas[-1] > 0.5 + PURITY_EPS else None
     except NumericalGuardError:
         best_em = None
-    return GreeResult(
+    return gammas, GreeResult(
         value=0.0,
         label=None,
         params=None,
@@ -585,10 +619,10 @@ def gree(
         bad = set(selected) - set(_TYPE_ORDER)
         if bad or not selected:
             raise ValidationError("families must be a nonempty subset of I..IV")
-    gammas_rho = check_physical(alpha_rho)
-    separable, rho_residual = is_separable(alpha_rho)
-    if separable:
-        return _separable_result(alpha_rho, gammas_rho, rho_residual)
+    _check_knobs(starts, tol)
+    gammas_rho, zero = _entry(alpha_rho)
+    if zero is not None:
+        return zero
 
     sf = standard_form(alpha_rho)
     alpha_params = (float(sf.a), float(sf.c1), float(sf.b), -float(sf.c2))
@@ -624,14 +658,6 @@ def gree(
         except (NumericalGuardError, ValidationError):
             return math.inf
         return self_term + _neg_log_c(params.gamma_a, params.gamma_b) + math.sqrt(p * q)
-
-    def complete(label, shape, ua, ub):
-        """(value, params, inner) at a point where the objective is finite;
-        the value is the objective's, bit for bit."""
-        params = border_point(label, shape, ua, ub)
-        inner = inner_minimize(alpha_params, folded_em(params))
-        value = self_term + _neg_log_c(params.gamma_a, params.gamma_b) + inner.half_trace
-        return value, params, inner
 
     rng = np.random.default_rng(seed)
     u_anchor = [math.log(max(g - 0.5, 1e-4)) for g in gammas_rho]
@@ -669,32 +695,14 @@ def gree(
                     pool.extend((ua, ub, sh) for sh in shape_grid)
                 else:
                     pool.append((ua, ub))
-        scores = [fun(p) for p in pool]
-        order = sorted(range(len(pool)), key=scores.__getitem__)
-        seeds = _seeds([pool[i] for i in order], starts, rng)
-
-        minima = []
-        family_best = (math.inf, None)
-        # the pool is sorted, so an infeasible best point means all are
-        if math.isfinite(scores[order[0]]):
-            for x0 in seeds:
-                simplex = [
-                    tuple(c + SIMPLEX_STEP if j == k else c for j, c in enumerate(x0))
-                    for k in range(len(x0))
-                ]
-                res = minimize(fun, x0, simplex, tol, 1e-8, 600)
-                total_iters += res.nit
-                minima.append(res.fun)
-                if res.fun < family_best[0]:
-                    family_best = (res.fun, res.x)
-                if _confirmed(minima, tol):
-                    break
-        starts_run[key] = len(minima)
+        (best, v), starts_run[key], nit = _multistart(fun, pool, starts, rng, tol, 1e-8)
+        total_iters += nit
         evaluations[key] = {"calls": tally[0], "inf": tally[1]}
-        per_type[key] = family_best[0]
-        if math.isfinite(family_best[0]):
-            v = family_best[1]
-            found[key] = complete(label, v[2] if with_shape else fixed_shape, v[0], v[1])
+        per_type[key] = best
+        if math.isfinite(best):
+            # the inner minimum at the best point, whose value is `best`
+            params = border_point(label, v[2] if with_shape else fixed_shape, v[0], v[1])
+            found[key] = best, params, inner_minimize(alpha_params, folded_em(params))
 
     if "III" in selected:
         per_type["III"] = min(per_type.pop("III_1"), per_type.pop("III_2"))
@@ -775,6 +783,29 @@ def _sigma_from_mtilde(ta: float, tb: float) -> SymmetricParams:
     )
 
 
+def _symmetric_result(
+    gammas_rho: np.ndarray, w_min: float, ta: float, tb: float, diagnostics: dict
+) -> GreeResult:
+    """The GREE result of a closed route whose minimum w_min of W lies at
+    the EM eigenvalues (ta, tb); the route's diagnostics follow per_type."""
+    sigma = _sigma_from_mtilde(ta, tb)
+    gamma_a, gamma_b = symmetric_gammas(sigma)
+    value = clamp_negative(_self_term(gammas_rho) + w_min, "GREE")
+    _, border_residual = is_separable(symmetric_cm(sigma))
+    return GreeResult(
+        value=value,
+        label="IV",
+        params=BorderParams("IV", gamma_a, gamma_b, 0.0, 1.0),
+        best_em=symmetric_em(sigma),
+        diagnostics={
+            "separable": False,
+            "per_type": {"IV": value},
+            **diagnostics,
+            "border_residual": border_residual,
+        },
+    )
+
+
 def gree_symmetric(p: SymmetricParams, starts: int = 8, seed: int = 0) -> GreeResult:
     """GREE of a symmetric two-mode state by the two-variable border
     objective in (Mt_A, Mt_B); the minimizer is itself symmetric and
@@ -782,103 +813,50 @@ def gree_symmetric(p: SymmetricParams, starts: int = 8, seed: int = 0) -> GreeRe
 
     Args:
         p: symmetric-state parameters (m, kq, kp).
-        starts: simplex starts (coarse-grid seeded).
+        starts: cap on the simplex starts (coarse-grid seeded), which
+            stop once two agree within 1e-12; diagnostics["starts"]
+            counts the starts run.
         seed: RNG seed for jittered extra starts.
     """
-    alpha = symmetric_cm(p)
-    gammas_rho = check_physical(alpha)
-    separable, rho_residual = is_separable(alpha)
-    if separable:
-        return _separable_result(alpha, gammas_rho, rho_residual)
+    _check_knobs(starts)
+    gammas_rho, zero = _entry(symmetric_cm(p))
+    if zero is not None:
+        return zero
 
     w, w_alt = _symmetric_w(p)
-    rng = np.random.default_rng(seed)
     grid = [-1.5, -0.5, 0.5, 1.5]
     pool = [(ua, ub) for ua in grid for ub in grid]
     if gammas_rho[-1] > 0.5 + PURITY_EPS:
         mt_rho = em_spectrum(gammas_rho)
         pool.insert(0, (math.log(mt_rho[0]), math.log(mt_rho[1])))
-    pool.sort(key=w)
-
-    best_w, best_v, iters = math.inf, None, 0
-    for x0 in _seeds(pool, starts, rng):
-        res = minimize(w, x0, _default_simplex(x0), 1e-12, 1e-10, 600)
-        iters += res.nit
-        if res.fun < best_w:
-            best_w, best_v = res.fun, res.x
-    if best_v is None or not math.isfinite(best_w):
+    rng = np.random.default_rng(seed)
+    (best_w, best_v), runs, iters = _multistart(w, pool, starts, rng, 1e-12, 1e-10)
+    if not math.isfinite(best_w):
         raise SearchFailureError("symmetric border search failed")
-
+    diagnostics = {"starts": runs, "iterations": iters,
+                   "alt_reading_residual": abs(w_alt(best_v) - best_w)}
     ta, tb = math.exp(best_v[0]), math.exp(best_v[1])
-    sigma = _sigma_from_mtilde(ta, tb)
-    best_em = symmetric_em(sigma)
-    gamma_a, gamma_b = symmetric_gammas(sigma)
-    value = clamp_negative(_self_term(gammas_rho) + best_w, "GREE")
-    _, border_residual = is_separable(symmetric_cm(sigma))
-    return GreeResult(
-        value=value,
-        label="IV",
-        params=BorderParams("IV", gamma_a, gamma_b, 0.0, 1.0),
-        best_em=best_em,
-        diagnostics={
-            "separable": False,
-            "per_type": {"IV": value},
-            "starts": starts,
-            "iterations": iters,
-            "border_residual": border_residual,
-            "alt_reading_residual": abs(w_alt(best_v) - best_w),
-        },
-    )
+    return _symmetric_result(gammas_rho, best_w, ta, tb, diagnostics)
 
 
 def gree_tmst(m: float, k: float) -> GreeResult:
-    """GREE of a two-mode squeezed thermal state (kq = kp = k) via the
-    one-variable objective
-    f(Mt) = -2 log(2 sinh(Mt/2))
-            + (Mt/2) [(m-k) coth(Mt/2) + (m+k) tanh(Mt/2)],
-    minimized over log Mt in [-6, 6] by the simplex `minimize`.
+    """GREE of a two-mode squeezed thermal state (kq = kp = k): the
+    symmetric objective W on its diagonal Mt_A = Mt_B = Mt, where it reads
+    f(Mt) = -2 log(2 sinh(Mt/2)) + (Mt/2) [(m-k) coth(Mt/2) + (m+k) tanh(Mt/2)],
+    minimized over log Mt in [-6, 6] from the best of 49 grid points.
 
     Args:
         m, k: TMST parameters; inseparable exactly when m - |k| < 1.
     """
     p = SymmetricParams(m=float(m), kq=float(k), kp=float(k))
-    alpha = symmetric_cm(p)
-    gammas_rho = check_physical(alpha)
-    separable, rho_residual = is_separable(alpha)
-    if separable:
-        return _separable_result(alpha, gammas_rho, rho_residual)
+    gammas_rho, zero = _entry(symmetric_cm(p))
+    if zero is not None:
+        return zero
 
-    lo_c = m - k
-    hi_c = m + k
-
-    def f(v):
-        if abs(v[0]) > 6.0:
-            return math.inf
-        t = math.exp(v[0])
-        return (
-            -2.0 * math.log(2.0 * math.sinh(0.5 * t))
-            + 0.5 * t * (lo_c * _coth(0.5 * t) + hi_c * math.tanh(0.5 * t))
-        )
-
-    # the best of 49 grid points in log Mt on [-6, 6], then a simplex one
-    # grid step wide
-    x0 = min(((-6.0 + 0.25 * j,) for j in range(49)), key=f)
-    res = minimize(f, x0, [(x0[0] + 0.25,)], 1e-12, 1e-10, 600)
-    t_opt = math.exp(res.x[0])
-    sigma = _sigma_from_mtilde(t_opt, t_opt)
-    best_em = symmetric_em(sigma)
-    gamma_s = 0.5 * _coth(0.5 * t_opt)
-    value = clamp_negative(_self_term(gammas_rho) + res.fun, "GREE")
-    _, border_residual = is_separable(symmetric_cm(sigma))
-    return GreeResult(
-        value=value,
-        label="IV",
-        params=BorderParams("IV", gamma_s, gamma_s, 0.0, 1.0),
-        best_em=best_em,
-        diagnostics={
-            "separable": False,
-            "per_type": {"IV": value},
-            "minimizer_mtilde": t_opt,
-            "border_residual": border_residual,
-        },
+    w, _ = _symmetric_w(p)
+    grid = [(-6.0 + 0.25 * j,) for j in range(49)]
+    (best_w, best_v), _, _ = _multistart(
+        lambda v: w((v[0], v[0])), grid, 1, None, 1e-12, 1e-10
     )
+    t_opt = math.exp(best_v[0])
+    return _symmetric_result(gammas_rho, best_w, t_opt, t_opt, {"minimizer_mtilde": t_opt})

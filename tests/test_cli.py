@@ -238,6 +238,21 @@ def test_gree_family_routes_agree(tmp_path, capsys):
     assert json.loads(tmst)["params"]["gamma_a"] == json.loads(tmst)["params"]["gamma_b"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gree-sym", "--m", "2.0", "--kq", "1.2", "--kp", "1.0", "--starts", "0"],
+    ["gree", "--starts", "0"],
+    ["gree", "--starts", "-3"],
+    ["gree", "--tol", "-1.0"],
+    ["gree", "--tol", "nan"],
+])
+def test_bad_search_knobs_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "gree":
+        argv = argv[:1] + ["-i", write_doc(tmp_path / "rho.json", tmsv_cm(0.4))] + argv[1:]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 def test_gree_types_restriction(tmp_path, capsys):
     doc = write_doc(tmp_path / "rho.json", standard_cm(1.2, 0.9, 0.7, 0.6))
     _, out = run(capsys, ["gree", "-i", doc, "--starts", "4", "--types", "II,IV"])

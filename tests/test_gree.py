@@ -39,7 +39,7 @@ from gree import (
     xy_strip,
 )
 from gree.cli import _fig12_state
-from gree.gree import _default_simplex, _inner_core, minimize
+from gree.gree import _inner_core, minimize
 from conftest import draw_separable_cm
 
 # the module itself: the package attribute `gree` is the function
@@ -297,6 +297,54 @@ def test_gree_tmst_route_agreement_and_balanced_minimizer():
     assert res_tmst.params.gamma_a == res_tmst.params.gamma_b
     _, residual = is_separable(em_to_cm(res_tmst.best_em))
     assert abs(residual) < 1e-8
+
+
+def tmst_objective(m, k, t):
+    """The one-variable TMST objective
+    f(Mt) = -2 log(2 sinh(Mt/2)) + (Mt/2) [(m-k) coth(Mt/2) + (m+k) tanh(Mt/2)],
+    which the symmetric objective W reads on its diagonal."""
+    return (-2.0 * math.log(2.0 * math.sinh(0.5 * t))
+            + 0.5 * t * ((m - k) / math.tanh(0.5 * t) + (m + k) * math.tanh(0.5 * t)))
+
+
+@pytest.mark.parametrize("m, k", [(1.1, 0.4), (1.5, 0.9), (3.0, 2.8), (30.0, 29.98)])
+def test_gree_tmst_is_the_one_variable_objective_at_its_minimizer(m, k):
+    res = gree_tmst(m, k)
+    gammas = check_physical(tmst_cm(m, k))
+    self_term = -sum(bosonic_entropy(g - 0.5) for g in gammas)
+    t = res.diagnostics["minimizer_mtilde"]
+    assert abs(res.value - (self_term + tmst_objective(m, k, t))) <= 1e-14
+    # and it is a minimum: points 0.01 away in log Mt do no better
+    for step in (-0.01, 0.01):
+        assert tmst_objective(m, k, t) <= tmst_objective(m, k, t * math.exp(step))
+
+
+def test_gree_symmetric_starts_are_a_cap():
+    p = SymmetricParams(2.0, 1.2, 1.0)
+    res = gree_symmetric(p)
+    # two starts agree on the minimum long before the default cap of 8
+    assert 2 <= res.diagnostics["starts"] < 8
+    one = gree_symmetric(p, starts=1)
+    assert one.diagnostics["starts"] == 1
+    assert abs(one.value - res.value) <= 1e-12
+
+
+@pytest.mark.parametrize("knobs", [
+    {"starts": 0}, {"starts": -3}, {"tol": -1.0}, {"tol": 0.0},
+    {"tol": float("nan")}, {"tol": float("inf")},
+])
+def test_gree_rejects_bad_search_knobs(knobs):
+    with pytest.raises(ValidationError):
+        gree(tmsv_cm(0.5), **knobs)
+    # the knobs are input too where the state is separable
+    with pytest.raises(ValidationError):
+        gree(draw_separable_cm(np.random.default_rng(3)), **knobs)
+
+
+@pytest.mark.parametrize("starts", [0, -3])
+def test_gree_symmetric_rejects_bad_starts(starts):
+    with pytest.raises(ValidationError):
+        gree_symmetric(SymmetricParams(2.0, 1.2, 1.0), starts=starts)
 
 
 def test_gree_separable_routes_return_zero():
@@ -609,10 +657,14 @@ def test_minimize_matches_scipy_nelder_mead_bitwise(fun, n):
 
 
 def test_default_simplex_matches_scipy_default():
+    # scipy's default simplex: coordinate k stepped by 5%, or set to
+    # 0.00025 where it is 0
     x0 = (0.0, -0.7)
+    simplex = [tuple((1.05 * c if c != 0 else 0.00025) if j == k else c
+                     for j, c in enumerate(x0)) for k in range(len(x0))]
     ref = scipy_minimize(rosenbrock, np.array(x0), method="Nelder-Mead",
                          options={"fatol": 1e-12, "xatol": 1e-10, "maxiter": 600})
-    got = minimize(rosenbrock, x0, _default_simplex(x0), 1e-12, 1e-10, 600)
+    got = minimize(rosenbrock, x0, simplex, 1e-12, 1e-10, 600)
     assert (got.x, got.fun, got.nit) == (tuple(float(c) for c in ref.x), float(ref.fun), ref.nit)
 
 
