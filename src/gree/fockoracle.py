@@ -14,9 +14,13 @@ squeeze unitaries applied to them, whose product holds the eigenvectors.
 Squeezes act block by block, self terms read the carried spectrum and
 cross terms push rho back through sigma's squeezes, so no eigensolver
 runs on a built state.  A thermal product holds prod(dims) numbers and a
-two-mode squeezed one its chain blocks, O(d^3) for two modes of d levels;
-a locally squeezed state holds its two parity halves, half the dense
-size.  The dense rho is assembled only when read.
+two-mode squeezed one its chain blocks, O(d^3) for two modes of d levels.
+A local squeeze of a two-mode state held over the chains holds the chain
+blocks of its output, O(d^3) numbers read from the input's chain blocks
+in about 4 d^4 flops; its two parity halves, half the dense size, are
+built from the input only when something reads them (rho, a further
+squeeze, truncate, or a path without a carried spectrum).  The dense
+rho is assembled only when read.
 
 A user-built FockDensity(dims, rho, trace_deficit) carries nothing: its
 structure is read from exact zeros in rho (n0 - n1 sectors, then parity,
@@ -27,7 +31,7 @@ the spectrum, and takes the same spectral path.
 
 import itertools
 import warnings
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,15 +69,18 @@ class FockDensity:
     and spectrum; their rho is assembled from the blocks on first access.
     """
 
-    __slots__ = ("dims", "trace_deficit", "_rho", "_kind", "_blocks", "_spectrum", "_squeezes")
+    __slots__ = (
+        "dims", "trace_deficit", "_rho", "_kind", "_held", "_chains", "_spectrum", "_squeezes")
 
     def __init__(self, dims: Sequence[int], rho: np.ndarray, trace_deficit: float):
         self.dims: Tuple[int, ...] = tuple(dims)
         self.trace_deficit = trace_deficit
         self._rho = rho
-        # carried structure: partition kind and blocks; the spectrum (flat
-        # basis order) and the squeezes that rotate it into rho, or None
-        self._kind = self._blocks = self._spectrum = self._squeezes = None
+        # carried structure: partition kind and its blocks, or the deferred
+        # build of them; the blocks over the n0 - n1 chains of a state held
+        # over a coarser partition; the spectrum (flat basis order) and the
+        # squeezes that rotate it into rho; each None when not carried
+        self._kind = self._held = self._chains = self._spectrum = self._squeezes = None
 
     @property
     def rho(self) -> np.ndarray:
@@ -82,10 +89,20 @@ class FockDensity:
             self._rho = _assemble(self.dims, self._kind, self._blocks)
         return self._rho
 
+    @property
+    def _blocks(self):
+        """Blocks over the carried partition, built on first read when deferred."""
+        if callable(self._held):
+            # a deferred _squeeze: its output's (kind, blocks)
+            self._held = self._held()[1]
+        return self._held
 
-def _built(dims, trace_deficit, kind, blocks, spectrum=None, squeezes=None) -> FockDensity:
+
+def _built(dims, trace_deficit, kind, blocks, spectrum=None, squeezes=None, chains=None):
+    """A state held as blocks over a partition, or as a deferred _squeeze
+    that builds them; chains are its blocks over the n0 - n1 chains."""
     state = FockDensity(dims, None, trace_deficit)
-    state._kind, state._blocks = kind, blocks
+    state._kind, state._held, state._chains = kind, blocks, chains
     if spectrum is not None:
         state._spectrum, state._squeezes = spectrum, squeezes
     return state
@@ -138,6 +155,8 @@ def _diagonal(dims: Tuple[int, ...], kind: str, blocks) -> np.ndarray:
 def _state_diagonal(state: FockDensity) -> np.ndarray:
     if state._kind is None:
         return np.real(np.diagonal(state.rho))
+    if state._chains is not None:
+        return _diagonal(state.dims, "chains", state._chains)
     return _diagonal(state.dims, state._kind, state._blocks)
 
 
@@ -306,6 +325,19 @@ def _regroup(dims: Tuple[int, ...], kind: str, blocks, target: str) -> list:
     return [blocks[owner[idx[0]]][np.ix_(pos[idx], pos[idx])] for idx in sectors]
 
 
+def _over(state: FockDensity, target: str) -> list:
+    """Diagonal blocks of the state over the target partition, read from
+    its carried chain blocks where those suffice."""
+    if target == "chains" and state._chains is not None:
+        return state._chains
+    return _regroup(state.dims, *_structure(state), target)
+
+
+def _held_over_chains(dims: Tuple[int, ...], kind: str) -> bool:
+    """Is a state of this partition kind held exactly by its chain blocks?"""
+    return len(dims) == 2 and kind in ("diagonal", "chains")
+
+
 def _assemble(dims: Tuple[int, ...], kind: str, blocks) -> np.ndarray:
     """Dense rho from blocks over a partition."""
     if kind == "diagonal":
@@ -361,6 +393,67 @@ def _squeeze(dims: Tuple[int, ...], kind: str, blocks, step: _Squeeze) -> Tuple[
     return kind, _symmetrized(out)
 
 
+@lru_cache(maxsize=None)
+def _local_plan(dims: Tuple[int, int], mode: int) -> tuple:
+    """Index plans of _local_over_chains for a local squeeze on `mode`.
+
+    The grid has axes (shift t, level of the squeezed mode, level of the
+    other mode); a cell names the chain-block entry between the basis
+    state with those levels and the state t lower on both modes.  take maps
+    each cell to that entry in the chain blocks raveled and concatenated,
+    or to one padding zero after them where the lower state is outside the
+    basis; back maps each entry to its cell.  partner maps each (t, a, n)
+    to (a - t, n - t) in the raveled d x d level matrix, or to a padding
+    zero after it.  Returns (take, back, partner, block starts, block
+    sizes).
+    """
+    d, width = dims[mode], min(dims)
+    shift = np.arange(1 - width, width)[:, None, None]
+    level = np.arange(d)[None, :, None]
+    other = np.arange(dims[1 - mode])[None, None, :]
+    l0, l1 = (level, other) if mode == 0 else (other, level)
+    sizes = np.array([len(idx) for idx in _partition(dims, "chains")])
+    starts = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    chain = l0 - l1 + dims[1] - 1
+    size = sizes[chain]
+    # a state's position along its chain is its lower level
+    row = np.minimum(l0, l1)
+    col = row - shift
+    inside = (col >= 0) & (col < size)
+    take = np.where(inside, starts[chain] + row * size + col, starts[-1])
+    back = np.empty(starts[-1], dtype=np.intp)
+    back[take[inside]] = np.flatnonzero(inside)
+    lower = np.arange(d) - shift
+    fits = (lower >= 0) & (lower < d)
+    partner = np.where(
+        fits.transpose(0, 2, 1) & fits, lower.transpose(0, 2, 1) * d + lower, d * d)
+    plan = (take, back, partner, starts[:-1], sizes)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _local_over_chains(dims: Tuple[int, int], chain_blocks, step: _Squeeze) -> list:
+    """Blocks over the n0 - n1 chains of L rho L^T, for a local squeeze
+    step L and a two-mode rho held exactly by its chain blocks.
+
+    For a squeeze on mode 0 and a shift t, the entry between (a, m) and
+    (a - t, m - t) is sum_n L[a, n] L[a - t, n - t] rho[(n, m), (n - t, m - t)]:
+    only rho's chain blocks enter, and each shift is one product K_t S_t
+    with K_t[a, n] = L[a, n] L[a - t, n - t] and S_t[n, m] gathered from
+    the chain blocks.  All shifts make one batched matmul, about 4 d^4
+    flops for d levels per mode; mode 1 follows with the roles swapped.
+    """
+    take, back, partner, starts, sizes = _local_plan(dims, step.mode)
+    d = dims[step.mode]
+    level = np.zeros((d, d))
+    level[0::2, 0::2], level[1::2, 1::2] = step.parts
+    kernel = level * np.append(level.ravel(), 0.0)[partner]
+    flat = np.concatenate([b.ravel() for b in chain_blocks] + [np.zeros(1)])
+    out = np.matmul(kernel, flat[take]).ravel()[back]
+    return _symmetrized([out[s : s + n * n].reshape(n, n) for s, n in zip(starts, sizes)])
+
+
 def fock_apply_squeeze(
     state: FockDensity,
     kind: str,
@@ -407,9 +500,16 @@ def fock_apply_squeeze(
     else:
         raise ValidationError("unknown squeeze kind %r" % (kind,))
 
-    sector_kind, blocks = _squeeze(dims, *_structure(state), step)
+    kind, blocks = _structure(state)
+    chains = None
+    if step.kind == "local" and _held_over_chains(dims, kind):
+        # carry the output's chain blocks; its parity halves wait for a reader
+        chains = _local_over_chains(dims, _regroup(dims, kind, blocks, "chains"), step)
+        kind, blocks = "parity", partial(_squeeze, dims, kind, blocks, step)
+    else:
+        kind, blocks = _squeeze(dims, kind, blocks, step)
     squeezes = None if state._spectrum is None else state._squeezes + (step,)
-    out = _built(dims, state.trace_deficit, sector_kind, blocks, state._spectrum, squeezes)
+    out = _built(dims, state.trace_deficit, kind, blocks, state._spectrum, squeezes, chains)
     pops = mode_populations(out)
     for i in touched:
         defect = float(pops[i][-2:].sum())
@@ -444,13 +544,22 @@ def _pushed_back_diagonal(rho: FockDensity, squeezes: tuple) -> np.ndarray:
     if not squeezes:
         return _state_diagonal(rho)
     dims = rho.dims
-    kind, blocks = _structure(rho)
-    for step in reversed(squeezes[1:]):
-        kind, blocks = _squeeze(dims, kind, blocks, step.transposed())
+    first, rest = squeezes[0], squeezes[1:]
     # only the diagonal is read after the first squeeze, and it depends only
     # on rho's blocks over the sectors that squeeze mixes within
-    first = squeezes[0]
     target = "chains" if first.kind == "two_mode" else "parity"
+    if not rest:
+        return _diagonal(dims, *_squeeze(dims, target, _over(rho, target), first.transposed()))
+    kind, blocks = _structure(rho)
+    for step in reversed(rest[1:]):
+        kind, blocks = _squeeze(dims, kind, blocks, step.transposed())
+    step = rest[0].transposed()
+    if target == "chains" and step.kind == "local" and _held_over_chains(dims, kind):
+        # the first squeeze reads only the chain blocks this step leaves
+        kind, blocks = "chains", _local_over_chains(
+            dims, _regroup(dims, kind, blocks, "chains"), step)
+    else:
+        kind, blocks = _squeeze(dims, kind, blocks, step)
     kind, blocks = _squeeze(dims, target, _regroup(dims, kind, blocks, target), first.transposed())
     return _diagonal(dims, kind, blocks)
 
@@ -495,7 +604,7 @@ def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
             q[dead] = 1.0
         else:
             qs, ms = [], []
-            for s_blk, r_blk in zip(sig_blocks, _regroup(rho.dims, *_structure(rho), kind)):
+            for s_blk, r_blk in zip(sig_blocks, _over(rho, kind)):
                 q, v = np.linalg.eigh(s_blk)
                 qs.append(q)
                 ms.append(np.einsum("ik,ik->k", v, r_blk @ v))
@@ -583,28 +692,23 @@ def fock_covariance(state: FockDensity) -> np.ndarray:
     """Quadrature second moments 1/2 <{F_j, F_k}> in (q.., p..) order.
 
     Means are not subtracted (the states in scope are zero-mean), so for
-    a Gaussian input this reproduces its CM.
+    a Gaussian input this reproduces its CM.  Each F_k rho is one ladder
+    contraction on a row axis of rho as a dims + dims tensor, and
+    Tr(F_j F_k rho) reads it traced down to F_j's mode.
     """
-    import scipy.sparse as sp
-
     dims = state.dims
     n = len(dims)
-    ops = []
-    for i, d in enumerate(dims):
-        a = sp.diags(np.sqrt(np.arange(1, d)), 1)
-        q = (a + a.T) / np.sqrt(2.0)
-        p = 1j * (a.T - a) / np.sqrt(2.0)
-        left = int(np.prod(dims[:i], dtype=int))
-        right = int(np.prod(dims[i + 1 :], dtype=int))
-        ops.append((i, sp.kron(sp.kron(sp.identity(left), q), sp.identity(right))))
-        ops.append((n + i, sp.kron(sp.kron(sp.identity(left), p), sp.identity(right))))
-    ops.sort(key=lambda t: t[0])
-    mats = [op.tocsr() for _, op in ops]
-    prods = [op @ state.rho for op in mats]  # F_k rho, dense
+    t = state.rho.reshape(dims + dims)
+    ladders = [np.diag(np.sqrt(np.arange(1.0, d)), 1) for d in dims]
+    ops = [(i, (a + a.T) / np.sqrt(2.0)) for i, a in enumerate(ladders)]
+    ops += [(i, 1j * (a.T - a) / np.sqrt(2.0)) for i, a in enumerate(ladders)]
     g = np.empty((2 * n, 2 * n), dtype=complex)
-    for j in range(2 * n):
-        fj_t = mats[j].T
-        for k in range(2 * n):
-            # Tr(rho F_j F_k) = Tr((F_k rho) F_j)
-            g[j, k] = fj_t.multiply(prods[k]).sum()
+    for k, (mode_k, f_k) in enumerate(ops):
+        applied = np.moveaxis(np.tensordot(f_k, t, axes=(1, mode_k)), 0, mode_k)
+        for j, (mode_j, f_j) in enumerate(ops):
+            # F_k rho traced over every mode but mode_j's: rows and columns
+            # share their labels except on that mode
+            cols = [n if m == mode_j else m for m in range(n)]
+            reduced = np.einsum(applied, list(range(n)) + cols, [mode_j, n])
+            g[j, k] = np.sum(f_j * reduced.T)
     return np.real(0.5 * (g + g.T))

@@ -74,12 +74,17 @@ def bosonic_entropy_sum(x: np.ndarray) -> float:
 
 
 def check_physical(alpha: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of alpha after checking gamma_j >= 1/2."""
+    """Symplectic eigenvalues of alpha after checking gamma_j >= 1/2 and
+    that alpha is positive definite (-alpha has the same spectrum)."""
     gammas = symplectic_eigenvalues(alpha)
     if gammas[-1] < 0.5 - PHYSICAL_TOL:
         raise ValidationError(
             "CM violates the uncertainty relation (min gamma = %.12g)" % gammas[-1]
         )
+    try:
+        np.linalg.cholesky(alpha)
+    except np.linalg.LinAlgError:
+        raise ValidationError("CM is not positive definite") from None
     return gammas
 
 
@@ -283,12 +288,24 @@ def border_residual(sf: StandardForm) -> float:
 
 def _local_invariants(alpha: np.ndarray) -> Tuple[np.ndarray, float, float, float, float]:
     """The symmetrized two-mode CM with its det A, det B, det C and
-    det alpha, read from its entries as plain floats."""
+    det alpha, read from its entries as plain floats.
+
+    Raises:
+        ValidationError: alpha is not a symmetric 4x4 matrix, or one of its
+            leading minors of order 1 to 3 is not positive (then alpha is
+            not positive definite; det alpha itself is checked by _verdict).
+    """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (4, 4):
         raise ValidationError("separability test is defined for two-mode CMs")
     alpha = _check_symmetric(alpha)
     a = alpha.tolist()
+    (a00, a01, a02, _), (_, a11, a12, _), (_, _, a22, _) = a[:3]
+    minor2 = a00 * a11 - a01 * a01
+    minor3 = a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02) \
+        + a02 * (a01 * a12 - a11 * a02)
+    if not (a00 > 0.0 and minor2 > 0.0 and minor3 > 0.0):
+        raise ValidationError("CM is not positive definite")
     det_a = a[0][0] * a[2][2] - a[0][2] * a[0][2]
     det_b = a[1][1] * a[3][3] - a[1][3] * a[1][3]
     det_c = a[0][1] * a[2][3] - a[0][3] * a[1][2]
@@ -308,8 +325,9 @@ def _ppt_verdict(alpha: np.ndarray) -> bool:
     loses about sqrt(eps), so symplectic_eigenvalues decides there.
 
     Raises:
-        ValidationError: alpha is not a symmetric 4x4 matrix, or it
-            violates the uncertainty relation by more than PHYSICAL_TOL.
+        ValidationError: alpha is not a symmetric 4x4 matrix, it is not
+            positive definite, or it violates the uncertainty relation by
+            more than PHYSICAL_TOL.
         NumericalGuardError: det alpha <= 0, or a spectrum that is not a
             set of +-i nu pairs.
     """

@@ -253,6 +253,15 @@ def test_bad_search_knobs_exit_2(tmp_path, capsys, argv):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["entropy", "separable", "classify", "gree"])
+def test_negative_definite_cm_exits_2(tmp_path, capsys, command):
+    doc = write_doc(tmp_path / "rho.json", -tmsv_cm(0.5))
+    code, out = run(capsys, [command, "-i", doc])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError" and "not positive definite" in error["message"]
+
+
 def test_gree_types_restriction(tmp_path, capsys):
     doc = write_doc(tmp_path / "rho.json", standard_cm(1.2, 0.9, 0.7, 0.6))
     _, out = run(capsys, ["gree", "-i", doc, "--starts", "4", "--types", "II,IV"])
@@ -398,6 +407,11 @@ def test_verify_oracle_suite(capsys, dim_args):
     lines = out.splitlines()
     assert lines[0].startswith("oracle") and "PASS" in lines[0]
     assert ("(dim 80," if dim_args else "(dim 30,") in lines[0]
+    # six pairs, then one with a locally squeezed rho
+    assert "pairs 7 " in lines[0]
+    if not dim_args:
+        assert lines[0] == (
+            "oracle     PASS   pairs 7   max |gaussian - fock| 1.745e-09   (dim 30, tol 0.001)")
     assert lines[-1] == "overall    PASS"
 
 

@@ -1,6 +1,11 @@
 """Tests for the truncated Fock-space oracle."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,8 @@ from gree import (
     relative_entropy,
     tmsv_cm,
 )
-from gree.fockoracle import truncate
+from gree import fockoracle
+from gree.fockoracle import _partition, _regroup, _squeeze, truncate
 
 THERMAL_ANCHOR = 0.0849495183976987
 
@@ -48,6 +54,18 @@ def test_fock_covariance_thermal():
     np.testing.assert_allclose(
         fock_covariance(fock_thermal(1.2, 30)), 1.2 * np.eye(2), atol=1e-6
     )
+
+
+def test_fock_covariance_loads_no_scipy_sparse():
+    code = (
+        "import sys, gree; gree.fock_covariance(gree.fock_thermal(1.2, 10)); "
+        "print('scipy.sparse' in sys.modules)"
+    )
+    src = str(Path(fockoracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_fock_entropy_matches_bosonic_entropy():
@@ -167,18 +185,19 @@ def test_indefinite_rho_rejected_on_every_path(rho):
 DIM = 12
 
 
-def _ladders(d):
-    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-    return np.kron(a, np.eye(d)), np.kron(np.eye(d), a)
+def _ladders(dims):
+    d0, d1 = dims
+    return (np.kron(np.diag(np.sqrt(np.arange(1.0, d0)), 1), np.eye(d1)),
+            np.kron(np.eye(d0), np.diag(np.sqrt(np.arange(1.0, d1)), 1)))
 
 
 def _dense_two_mode(r, d=DIM):
-    a0, a1 = _ladders(d)
+    a0, a1 = _ladders((d, d))
     return expm(r * (a0.T @ a1.T - a0 @ a1))
 
 
-def _dense_local(s, mode, d=DIM):
-    a = _ladders(d)[mode]
+def _dense_local(s, mode, dims=(DIM, DIM)):
+    a = _ladders(dims)[mode]
     return expm(0.5 * s * (a.T @ a.T - a @ a))
 
 
@@ -190,8 +209,8 @@ def _dense_relative_entropy(rho, sigma):
     return float(p @ np.log(p) - masses @ np.log(q))
 
 
-def _pair(g0, g1, d=DIM):
-    return fock_product(fock_thermal(g0, d), fock_thermal(g1, d))
+def _pair(g0, g1, d=DIM, d1=None):
+    return fock_product(fock_thermal(g0, d), fock_thermal(g1, d if d1 is None else d1))
 
 
 def test_two_mode_squeeze_of_product_matches_dense():
@@ -252,6 +271,67 @@ def test_squeezes_leave_exact_zeros_between_sectors():
     off_parity = (diff[:, None] - diff[None, :]) % 2 == 1
     assert np.count_nonzero(local.rho[off_parity]) == 0
     assert np.count_nonzero(local.rho[off_sector & ~off_parity]) > 0
+
+
+def _forbid_parity_halves(monkeypatch):
+    # every parity-half build, eager or deferred, runs _squeeze on a local step
+    def squeeze(dims, kind, blocks, step):
+        assert step.kind != "local", "parity halves were built"
+        return _squeeze(dims, kind, blocks, step)
+
+    monkeypatch.setattr(fockoracle, "_squeeze", squeeze)
+
+
+@pytest.mark.parametrize("dims", [(10, 7), (7, 10)])
+@pytest.mark.parametrize("mode", [0, 1])
+@pytest.mark.parametrize("s", [0.25, -0.25])
+def test_local_squeeze_over_chains_matches_dense(dims, mode, s):
+    chained = fock_apply_squeeze(_pair(0.6, 0.7, *dims), "two_mode", 0.3, defect_tol=1.0)
+    got = fock_apply_squeeze(chained, "local", s, mode, defect_tol=1.0)
+    assert got._kind == "parity" and callable(got._held)
+    # the dense branch on the input's chain blocks, regrouped to the chains
+    dense = _regroup(dims, *_squeeze(dims, "chains", chained._blocks, got._squeezes[-1]), "chains")
+    u = _dense_local(s, mode, dims)
+    expect = u @ chained.rho @ u.T
+    for idx, block, ref in zip(_partition(dims, "chains"), got._chains, dense):
+        np.testing.assert_allclose(block, ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(block, expect[np.ix_(idx, idx)], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got.rho, expect, rtol=0, atol=1e-12)
+    assert not callable(got._held)
+
+
+def test_locally_squeezed_sigma_over_a_chain_rho_matches_dense(monkeypatch):
+    rho = fock_apply_squeeze(_pair(0.6, 0.7), "two_mode", 0.3)
+    two_mode = fock_apply_squeeze(_pair(0.9, 0.8), "two_mode", 0.25)
+    with monkeypatch.context() as patch:
+        _forbid_parity_halves(patch)
+        got = fock_relative_entropy(rho, fock_apply_squeeze(two_mode, "local", -0.15, 1))
+    u = _dense_local(-0.15, 1)
+    assert abs(got - _dense_relative_entropy(rho.rho, u @ two_mode.rho @ u.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["rho", "sigma"])
+def test_locally_squeezed_pair_at_dim_45_builds_no_parity_halves(monkeypatch, side):
+    _forbid_parity_halves(monkeypatch)
+    dim = 45
+    two_mode = fock_apply_squeeze(_pair(0.9, 0.7, dim), "two_mode", 0.3)
+    two_mode_sigma = fock_apply_squeeze(_pair(1.3, 1.2, dim), "two_mode", 0.2)
+    if side == "rho":
+        two_mode_local = fock_apply_squeeze(two_mode, "local", 0.12, 0)
+        value = fock_relative_entropy(two_mode_local, two_mode_sigma)
+    else:
+        hot_local = fock_apply_squeeze(two_mode_sigma, "local", 0.12, 0)
+        value = fock_relative_entropy(two_mode, hot_local)
+    assert math.isfinite(value) and value > 0.0
+
+
+def test_deferred_parity_halves_survive_pickling():
+    # process pools pickle their arguments; the deferred build must travel
+    state = fock_apply_squeeze(
+        fock_apply_squeeze(_pair(0.6, 0.7), "two_mode", 0.3), "local", 0.1, 0)
+    copy = pickle.loads(pickle.dumps(state))
+    assert callable(copy._held)
+    np.testing.assert_array_equal(copy.rho, state.rho)
 
 
 def _local_pair_errors(g_rho, g_sig, r_rho, r_sig, s_local):

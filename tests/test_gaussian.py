@@ -61,6 +61,27 @@ def test_check_physical_rejects_sub_vacuum():
         check_physical(np.diag([0.4, 0.4]))
 
 
+# -alpha has alpha's symplectic spectrum; an indefinite matrix can pass the
+# uncertainty bound with det alpha > 0
+NOT_POSITIVE_DEFINITE = {
+    "negative TMSV": -tmsv_cm(0.5),
+    "indefinite": np.diag([0.6, -0.6, 0.6, -0.6]),
+}
+
+
+@pytest.mark.parametrize("alpha", list(NOT_POSITIVE_DEFINITE.values()),
+                         ids=list(NOT_POSITIVE_DEFINITE))
+def test_cms_that_are_not_positive_definite_are_rejected_on_entry(alpha):
+    for check in (check_physical, von_neumann_entropy, is_separable, standard_form,
+                  _ppt_verdict):
+        with pytest.raises(ValidationError, match="not positive definite"):
+            check(alpha)
+    with pytest.raises(ValidationError, match="not positive definite"):
+        check_physical(-thermal_cm(1.0))
+    with pytest.raises(ValidationError, match="not positive definite"):
+        check_physical(-thermal_cm(1.0, 1.2, 0.9))
+
+
 def test_cm_to_em_thermal_gives_ln3():
     m = cm_to_em(thermal_cm(1.0))
     np.testing.assert_allclose(m, LN3 * np.eye(2), atol=1e-12)
