@@ -333,11 +333,6 @@ def _over(state: FockDensity, target: str) -> list:
     return _regroup(state.dims, *_structure(state), target)
 
 
-def _held_over_chains(dims: Tuple[int, ...], kind: str) -> bool:
-    """Is a state of this partition kind held exactly by its chain blocks?"""
-    return len(dims) == 2 and kind in ("diagonal", "chains")
-
-
 def _assemble(dims: Tuple[int, ...], kind: str, blocks) -> np.ndarray:
     """Dense rho from blocks over a partition."""
     if kind == "diagonal":
@@ -502,8 +497,9 @@ def fock_apply_squeeze(
 
     kind, blocks = _structure(state)
     chains = None
-    if step.kind == "local" and _held_over_chains(dims, kind):
-        # carry the output's chain blocks; its parity halves wait for a reader
+    if step.kind == "local" and len(dims) == 2 and kind in ("diagonal", "chains"):
+        # the input is held exactly by its chain blocks: carry the output's
+        # chain blocks; its parity halves wait for a reader
         chains = _local_over_chains(dims, _regroup(dims, kind, blocks, "chains"), step)
         kind, blocks = "parity", partial(_squeeze, dims, kind, blocks, step)
     else:
@@ -548,20 +544,14 @@ def _pushed_back_diagonal(rho: FockDensity, squeezes: tuple) -> np.ndarray:
     # only the diagonal is read after the first squeeze, and it depends only
     # on rho's blocks over the sectors that squeeze mixes within
     target = "chains" if first.kind == "two_mode" else "parity"
-    if not rest:
-        return _diagonal(dims, *_squeeze(dims, target, _over(rho, target), first.transposed()))
-    kind, blocks = _structure(rho)
-    for step in reversed(rest[1:]):
-        kind, blocks = _squeeze(dims, kind, blocks, step.transposed())
-    step = rest[0].transposed()
-    if target == "chains" and step.kind == "local" and _held_over_chains(dims, kind):
-        # the first squeeze reads only the chain blocks this step leaves
-        kind, blocks = "chains", _local_over_chains(
-            dims, _regroup(dims, kind, blocks, "chains"), step)
+    if rest:
+        kind, blocks = _structure(rho)
+        for step in reversed(rest):
+            kind, blocks = _squeeze(dims, kind, blocks, step.transposed())
+        blocks = _regroup(dims, kind, blocks, target)
     else:
-        kind, blocks = _squeeze(dims, kind, blocks, step)
-    kind, blocks = _squeeze(dims, target, _regroup(dims, kind, blocks, target), first.transposed())
-    return _diagonal(dims, kind, blocks)
+        blocks = _over(rho, target)
+    return _diagonal(dims, *_squeeze(dims, target, blocks, first.transposed()))
 
 
 def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:

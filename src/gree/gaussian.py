@@ -81,11 +81,16 @@ def check_physical(alpha: np.ndarray) -> np.ndarray:
         raise ValidationError(
             "CM violates the uncertainty relation (min gamma = %.12g)" % gammas[-1]
         )
+    _check_positive_definite(alpha)
+    return gammas
+
+
+def _check_positive_definite(alpha: np.ndarray) -> None:
+    """Raise ValidationError unless alpha has a Cholesky factorisation."""
     try:
         np.linalg.cholesky(alpha)
     except np.linalg.LinAlgError:
         raise ValidationError("CM is not positive definite") from None
-    return gammas
 
 
 def von_neumann_entropy(alpha: np.ndarray) -> float:
@@ -291,21 +296,16 @@ def _local_invariants(alpha: np.ndarray) -> Tuple[np.ndarray, float, float, floa
     det alpha, read from its entries as plain floats.
 
     Raises:
-        ValidationError: alpha is not a symmetric 4x4 matrix, or one of its
-            leading minors of order 1 to 3 is not positive (then alpha is
-            not positive definite; det alpha itself is checked by _verdict).
+        ValidationError: alpha is not a symmetric 4x4 matrix, or its
+            leading 3x3 block is not positive definite (then neither is
+            alpha; det alpha itself is checked by _verdict).
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (4, 4):
         raise ValidationError("separability test is defined for two-mode CMs")
     alpha = _check_symmetric(alpha)
+    _check_positive_definite(alpha[:3, :3])
     a = alpha.tolist()
-    (a00, a01, a02, _), (_, a11, a12, _), (_, _, a22, _) = a[:3]
-    minor2 = a00 * a11 - a01 * a01
-    minor3 = a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02) \
-        + a02 * (a01 * a12 - a11 * a02)
-    if not (a00 > 0.0 and minor2 > 0.0 and minor3 > 0.0):
-        raise ValidationError("CM is not positive definite")
     det_a = a[0][0] * a[2][2] - a[0][2] * a[0][2]
     det_b = a[1][1] * a[3][3] - a[1][3] * a[1][3]
     det_c = a[0][1] * a[2][3] - a[0][3] * a[1][2]
