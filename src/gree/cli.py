@@ -571,25 +571,28 @@ def _verify_oracle(seed: int, dim: int) -> Tuple[bool, str]:
     # six pairs, then one whose rho is also locally squeezed on mode 0
     pairs = 7
     for k in range(pairs):
-        alpha, sigma, (g_rho, g_sig, r_rho, r_sig) = _oracle_pair(rng)
-        f_rho = fock_apply_squeeze(
-            fock_product(fock_thermal(g_rho[0], dim), fock_thermal(g_rho[1], dim)),
-            "two_mode",
-            r_rho,
-        )
-        if k == pairs - 1:
-            s = rng.uniform(-0.15, 0.15)
-            # exp(s (a^+2 - a^2)/2) on mode 0 maps q0 -> e^s q0, p0 -> e^-s p0
-            local = np.diag([math.exp(s), 1.0, math.exp(-s), 1.0])
-            alpha = local @ alpha @ local.T
-            f_rho = fock_apply_squeeze(f_rho, "local", s, 0)
-        gauss = relative_entropy(alpha, sigma).value
-        f_sig = fock_apply_squeeze(
-            fock_product(fock_thermal(g_sig[0], dim), fock_thermal(g_sig[1], dim)),
-            "two_mode",
-            r_sig,
-        )
-        worst = max(worst, abs(gauss - fock_relative_entropy(f_rho, f_sig)))
+        try:
+            alpha, sigma, (g_rho, g_sig, r_rho, r_sig) = _oracle_pair(rng)
+            f_rho = fock_apply_squeeze(
+                fock_product(fock_thermal(g_rho[0], dim), fock_thermal(g_rho[1], dim)),
+                "two_mode",
+                r_rho,
+            )
+            if k == pairs - 1:
+                s = rng.uniform(-0.15, 0.15)
+                # exp(s (a^+2 - a^2)/2) on mode 0 maps q0 -> e^s q0, p0 -> e^-s p0
+                local = np.diag([math.exp(s), 1.0, math.exp(-s), 1.0])
+                alpha = local @ alpha @ local.T
+                f_rho = fock_apply_squeeze(f_rho, "local", s, 0)
+            gauss = relative_entropy(alpha, sigma).value
+            f_sig = fock_apply_squeeze(
+                fock_product(fock_thermal(g_sig[0], dim), fock_thermal(g_sig[1], dim)),
+                "two_mode",
+                r_sig,
+            )
+            worst = max(worst, abs(gauss - fock_relative_entropy(f_rho, f_sig)))
+        except NumericalGuardError as exc:
+            return False, "pair %d of %d   %s   (dim %d)" % (k + 1, pairs, exc, dim)
     ok = worst <= tol
     return ok, "pairs %d   max |gaussian - fock| %.3e   (dim %d, tol %g)" % (
         pairs,

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import NumericalGuardError, SearchFailureError, ValidationError
 from .gaussian import (
     _ppt_verdict,
+    _pt_nu_minus,
     bosonic_entropy,
     bosonic_entropy_sum,
     check_physical,
@@ -411,7 +412,9 @@ def descent_step(state: DescentState) -> DescentState:
 def _bisect_crossing(
     state: DescentState, kind: str, params: Tuple, was_separable: bool
 ) -> DescentState:
-    """Bisect one transform's parameter to the separability border."""
+    """Bisect one transform's parameter to the separability border: where the
+    partial transpose's nu_- crosses 1/2 itself, not the verdict's slack edge
+    1/2 - PHYSICAL_TOL.  The iterate returned has nu_- >= 1/2."""
 
     def at(t: float) -> DescentState:
         if kind == "align":
@@ -430,7 +433,7 @@ def _bisect_crossing(
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if _ppt_verdict(sigma_cm_of(at(mid))) == was_separable:
+        if (_pt_nu_minus(sigma_cm_of(at(mid))) >= 0.5) == was_separable:
             lo = mid
         else:
             hi = mid

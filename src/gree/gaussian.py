@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
 from .symplectic import (
-    WilliamsonResult,
     _check_symmetric,
     _embed,
     symplectic_form,
@@ -74,14 +73,15 @@ def bosonic_entropy_sum(x: np.ndarray) -> float:
 
 
 def check_physical(alpha: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of alpha after checking gamma_j >= 1/2 and
-    that alpha is positive definite (-alpha has the same spectrum)."""
+    """Symplectic eigenvalues of alpha after checking that alpha is positive
+    definite (-alpha has the same symplectic spectrum) and gamma_j >= 1/2."""
+    alpha = _check_symmetric(alpha)
+    _check_positive_definite(alpha)
     gammas = symplectic_eigenvalues(alpha)
     if gammas[-1] < 0.5 - PHYSICAL_TOL:
         raise ValidationError(
             "CM violates the uncertainty relation (min gamma = %.12g)" % gammas[-1]
         )
-    _check_positive_definite(alpha)
     return gammas
 
 
@@ -149,8 +149,6 @@ def em_to_cm(m: np.ndarray) -> np.ndarray:
         m: symmetric positive-definite EM.
     """
     w = williamson(m)
-    if w.gammas[-1] <= 0:
-        raise NumericalGuardError("EM has a non-positive symplectic eigenvalue")
     gam = gamma_of_em_spectrum(w.gammas)
     s = np.linalg.inv(w.s).T  # m = W Mtilde W^T  <=>  M = (S^T)^-1 Mtilde S^-1
     alpha = s * np.concatenate([gam, gam]) @ s.T
@@ -338,24 +336,32 @@ def _verdict(
     alpha: np.ndarray, det_a: float, det_b: float, det_c: float, det_alpha: float
 ) -> bool:
     """_ppt_verdict on the output of _local_invariants."""
-    if det_alpha <= 0.0:
-        raise NumericalGuardError("CM has det alpha = %.12g <= 0" % det_alpha)
-
-    def nu_minus(delta: float, flip: bool) -> float:
-        disc = delta * delta - 4.0 * det_alpha
-        if disc < CLOSED_FORM_GAP * delta * delta:
-            cm = _partial_transpose(alpha) if flip else alpha
-            return float(symplectic_eigenvalues(cm)[-1])
-        if delta <= 0.0:
-            raise NumericalGuardError("symplectic spectrum is not a set of +-i nu pairs")
-        return math.sqrt(det_alpha / (0.5 * (delta + math.sqrt(disc))))
-
-    gamma_min = nu_minus(det_a + det_b + 2.0 * det_c, False)
+    gamma_min = _nu_minus(alpha, det_alpha, det_a + det_b + 2.0 * det_c, False)
     if gamma_min < 0.5 - PHYSICAL_TOL:
         raise ValidationError(
             "CM violates the uncertainty relation (min gamma = %.12g)" % gamma_min
         )
-    return nu_minus(det_a + det_b - 2.0 * det_c, True) >= 0.5 - PHYSICAL_TOL
+    return _nu_minus(alpha, det_alpha, det_a + det_b - 2.0 * det_c, True) >= 0.5 - PHYSICAL_TOL
+
+
+def _nu_minus(alpha: np.ndarray, det_alpha: float, delta: float, flip: bool) -> float:
+    """Smallest symplectic eigenvalue of the two-mode CM alpha (flip: of its
+    partial transpose) from D = delta and det alpha, as in _ppt_verdict."""
+    if det_alpha <= 0.0:
+        raise NumericalGuardError("CM has det alpha = %.12g <= 0" % det_alpha)
+    disc = delta * delta - 4.0 * det_alpha
+    if disc < CLOSED_FORM_GAP * delta * delta:
+        cm = _partial_transpose(alpha) if flip else alpha
+        return float(symplectic_eigenvalues(cm)[-1])
+    if delta <= 0.0:
+        raise NumericalGuardError("symplectic spectrum is not a set of +-i nu pairs")
+    return math.sqrt(det_alpha / (0.5 * (delta + math.sqrt(disc))))
+
+
+def _pt_nu_minus(alpha: np.ndarray) -> float:
+    """_nu_minus of the partial transpose, with no slack and no uncertainty check."""
+    alpha, det_a, det_b, det_c, det_alpha = _local_invariants(alpha)
+    return _nu_minus(alpha, det_alpha, det_a + det_b - 2.0 * det_c, True)
 
 
 def _partial_transpose(alpha: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Relative entropy S(rho||sigma) = Tr rho (log rho - log sigma) for
 Gaussian states, split into the self term and the cross term."""
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,14 +28,6 @@ class RelEntResult(NamedTuple):
     cross_term: float
 
 
-def _sigma_gammas(m_sigma: np.ndarray) -> np.ndarray:
-    """CM symplectic eigenvalues of the state with EM m_sigma."""
-    mtilde = symplectic_eigenvalues(m_sigma)
-    if mtilde[-1] <= 0:
-        raise NumericalGuardError("EM has a non-positive symplectic eigenvalue")
-    return gamma_of_em_spectrum(mtilde)
-
-
 def cross_term(alpha_rho: np.ndarray, m_sigma: np.ndarray) -> float:
     """-Tr rho log sigma = -log c(gamma_sigma) + (1/2) Tr(alpha_rho M_sigma).
 
@@ -47,7 +39,7 @@ def cross_term(alpha_rho: np.ndarray, m_sigma: np.ndarray) -> float:
     m_sigma = np.asarray(m_sigma, dtype=float)
     if alpha_rho.shape != m_sigma.shape:
         raise ValidationError("mode-count mismatch between rho and sigma")
-    log_c = normalization_log_c(_sigma_gammas(m_sigma))
+    log_c = normalization_log_c(gamma_of_em_spectrum(symplectic_eigenvalues(m_sigma)))
     return float(-log_c + 0.5 * np.trace(alpha_rho @ m_sigma))
 
 

@@ -2,7 +2,10 @@
 
 Provides the canonical antisymmetric form Delta, elementary symplectic
 generators, symplectic eigenvalues, and the Williamson decomposition
-alpha = S diag(gamma, gamma) S^T used by all state transforms.
+alpha = S diag(gamma, gamma) S^T used by all state transforms.  Both of
+the latter take a positive-definite alpha and solve one Hermitian
+eigenproblem, that of H = i alpha^(1/2) Delta alpha^(1/2), whose
+eigenvalues are +-gamma_j.  The module needs numpy only.
 """
 
 import math
@@ -12,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
 
-# relative tolerance for eigenvalue pair matching
+# relative tolerance for +-gamma eigenvalue pair matching
 PAIRING_RTOL = 1e-8
 
 
@@ -199,154 +202,87 @@ def _check_symmetric(alpha: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (alpha + alpha.T)
 
 
-def symplectic_eigenvalues(alpha: np.ndarray) -> np.ndarray:
-    """Moduli of the +-i*gamma eigenvalue pairs of Delta^-1 alpha, descending.
-
-    Args:
-        alpha: real symmetric 2n x 2n matrix.
-
-    Raises:
-        NumericalGuardError: if the spectrum does not form +-i*gamma pairs
-            within the pairing tolerance (corrupted or non-symmetric input).
-    """
+def _hermitian_form(alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, B, H) with B = alpha^(1/2) and the Hermitian H = i B Delta B,
+    whose eigenvalues are +-gamma_j (H is similar to i Delta alpha)."""
     alpha = _check_symmetric(alpha)
-    n = alpha.shape[0] // 2
-    delta = symplectic_form(n)
-    m = -delta @ alpha  # Delta^-1 = -Delta
-    try:
-        w = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError:
-        # the real QR iteration can stall on nearly repeated +-i gamma
-        # pairs (near-vacuum, near-degenerate CMs); the complex one does not
-        w = np.linalg.eigvals(m.astype(complex))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if float(np.max(np.abs(w.real))) > PAIRING_RTOL * scale:
-        raise NumericalGuardError("eigenvalues of Delta^-1 alpha are not imaginary pairs")
-    pos = np.sort(w.imag[w.imag > 0])[::-1]
-    neg = np.sort(-w.imag[w.imag < 0])[::-1]
-    if len(pos) != n or len(neg) != n or np.max(np.abs(pos - neg)) > PAIRING_RTOL * scale:
+    w, v = np.linalg.eigh(alpha)
+    if w[0] <= 0:
+        raise NumericalGuardError("matrix is not positive definite")
+    b = v * np.sqrt(w) @ v.T
+    return alpha, b, 1j * (b @ symplectic_form(alpha.shape[0] // 2) @ b)
+
+
+def _positive_half(lam: np.ndarray) -> np.ndarray:
+    """gamma_j, descending, from H's ascending eigenvalues -gamma, +gamma."""
+    n = lam.shape[0] // 2
+    pos = lam[n:][::-1]
+    if np.max(np.abs(pos + lam[:n])) > PAIRING_RTOL * max(1.0, np.max(np.abs(lam))):
         raise NumericalGuardError("eigenvalue pairing failure")
     return pos
 
 
-def _williamson_blockdiag(alpha_q: np.ndarray, alpha_p: np.ndarray) -> WilliamsonResult:
-    """Eigenvector route for alpha = alpha_q (+) alpha_p.
+def symplectic_eigenvalues(alpha: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues gamma_j of alpha, descending: the positive half
+    of the spectrum of H = i alpha^(1/2) Delta alpha^(1/2), the one Hermitian
+    eigenproblem that williamson also solves.
 
-    Eigenvectors c_j of alpha_p alpha_q (eigenvalues gamma_j^2) are obtained
-    through the symmetric problem L^T alpha_p L with alpha_q = L L^T, which
-    makes them alpha_q-orthonormal by construction (degenerate subspaces
-    included).  They are then scaled to c_j^T alpha_q c_j = gamma_j, the phase
-    fixed by a positive diagonal component, and assembled into
-    S = S_q (+) (S_q^T)^-1 with S_q columns alpha_q c_j / gamma_j.
+    Args:
+        alpha: real symmetric positive-definite 2n x 2n matrix.
+
+    Raises:
+        NumericalGuardError: alpha is not positive definite, or H's spectrum
+            does not form +-gamma pairs within PAIRING_RTOL.
     """
-    n = alpha_q.shape[0]
-    try:
-        chol = np.linalg.cholesky(alpha_q)
-    except np.linalg.LinAlgError:
-        raise NumericalGuardError("q block is not positive definite")
-    gamma_sq, vecs = np.linalg.eigh(chol.T @ alpha_p @ chol)
-    if gamma_sq[0] <= 0:
-        raise NumericalGuardError("p block is not positive definite")
-    order = np.argsort(gamma_sq)[::-1]
-    gammas = np.sqrt(gamma_sq[order])
-    c = np.linalg.solve(chol.T, vecs[:, order]) * np.sqrt(gammas)
-    for j in range(n):
-        anchor = c[j, j]
-        if abs(anchor) < 1e-12 * np.max(np.abs(c[:, j])):
-            anchor = c[np.argmax(np.abs(c[:, j])), j]
-        if anchor < 0:
-            c[:, j] = -c[:, j]
-    s_q = alpha_q @ c / gammas
-    s = np.zeros((2 * n, 2 * n))
-    s[:n, :n] = s_q
-    s[n:, n:] = c  # c = (S_q^T)^-1 since C^T alpha_q C = diag(gamma)
-    return WilliamsonResult(s=s, gammas=gammas)
-
-
-def _williamson_general(alpha: np.ndarray) -> WilliamsonResult:
-    """Schur construction, stable under (near-)degenerate gammas.
-
-    With B = alpha^(1/2), the antisymmetric N = B^-1 Delta B^-1 has the
-    real Schur form Q^T N Q = (+)_j gamma_j^-1 [[0, 1], [-1, 0]]; then
-    S = B Q D^(-1/2) P (P the interleaved-to-qqpp permutation) satisfies
-    both S Delta S^T = Delta and alpha = S diag(gamma, gamma) S^T.
-    """
-    from scipy.linalg import schur
-
-    n = alpha.shape[0] // 2
-    delta = symplectic_form(n)
-    w, v = np.linalg.eigh(alpha)
-    if w[0] <= 0:
-        raise NumericalGuardError("matrix is not positive definite")
-    b_inv = v / np.sqrt(w) @ v.T
-    skew = b_inv @ delta @ b_inv
-    skew = 0.5 * (skew - skew.T)
-    t, q = schur(skew, output="real")
-
-    mus = np.array([t[2 * j, 2 * j + 1] for j in range(n)])
-    junk = float(np.max(np.abs(t - _paired_blocks(n, mus))))
-    if junk > PAIRING_RTOL * max(1.0, float(np.max(np.abs(mus)))):
-        raise NumericalGuardError("Schur form is not in paired blocks")
-    # orient each block to a positive upper-right entry, then sort by gamma
-    for j in range(n):
-        if mus[j] < 0:
-            mus[j] = -mus[j]
-            q[:, [2 * j, 2 * j + 1]] = q[:, [2 * j + 1, 2 * j]]
-    gammas = 1.0 / mus
-    order = np.argsort(gammas)[::-1]
-    gammas = gammas[order]
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    q = q[:, cols]
-
-    b = v * np.sqrt(w) @ v.T
-    half = np.repeat(1.0 / np.sqrt(gammas), 2)
-    s_interleaved = b @ q * half
-    s = np.empty_like(s_interleaved)
-    s[:, :n] = s_interleaved[:, 0::2]
-    s[:, n:] = s_interleaved[:, 1::2]
-    if not is_symplectic(s, tol=1e-8):
-        raise NumericalGuardError("assembled transform failed the symplectic condition")
-    return WilliamsonResult(s=s, gammas=gammas)
-
-
-def _paired_blocks(n: int, mus: np.ndarray) -> np.ndarray:
-    out = np.zeros((2 * n, 2 * n))
-    for j, mu in enumerate(mus):
-        out[2 * j, 2 * j + 1] = mu
-        out[2 * j + 1, 2 * j] = -mu
-    return out
+    return _positive_half(np.linalg.eigvalsh(_hermitian_form(alpha)[2]))
 
 
 def williamson(alpha: np.ndarray) -> WilliamsonResult:
     """Williamson decomposition alpha = S diag(gamma, gamma) S^T.
 
-    For q-p block-diagonal inputs the real eigenvector construction on
-    alpha_p alpha_q is used; otherwise the general construction from the
-    real Schur form of alpha^-1/2 Delta alpha^-1/2.
+    With B = alpha^(1/2), an eigenvector x - iy of the Hermitian
+    H = i B Delta B for +gamma_j gives S's q_j column sqrt(2/gamma_j) B x and
+    its p_j column sqrt(2/gamma_j) B y.  Any orthonormal eigenbasis does, so
+    S is symplectic for degenerate gammas too; each eigenvector's phase makes
+    its leading q component real positive, so a diagonal alpha gets S = I.
 
     Args:
-        alpha: real symmetric 2n x 2n matrix with positive symplectic
-            spectrum (a CM or an EM).
+        alpha: real symmetric positive-definite 2n x 2n matrix (a CM or EM).
 
     Returns:
-        WilliamsonResult with S symplectic and gammas descending.
+        WilliamsonResult with S symplectic and gammas descending; S is
+        checked to be symplectic and to reconstruct alpha, both to 1e-8.
     """
-    alpha = _check_symmetric(alpha)
+    alpha, b, h = _hermitian_form(alpha)
     n = alpha.shape[0] // 2
-    scale = max(1.0, float(np.max(np.abs(alpha))))
-    if float(np.max(np.abs(alpha[:n, n:]))) <= 1e-12 * scale:
-        result = _williamson_blockdiag(alpha[:n, :n], alpha[n:, n:])
-    else:
-        result = _williamson_general(alpha)
-    d = np.concatenate([result.gammas, result.gammas])
-    residual = float(np.max(np.abs(result.s * d @ result.s.T - alpha)))
-    if residual > 1e-8 * scale:
-        raise NumericalGuardError(
-            "Williamson reconstruction residual %.3e" % residual
-        )
-    return result
+    lam, z = np.linalg.eigh(h)
+    gammas = _positive_half(lam)
+    z = z[:, n:][:, ::-1]
+    mag = np.abs(z[:n])  # the leading q component: first within 1e-12 of the largest
+    lead = z[np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0), range(n)]
+    z = z * (np.abs(lead) / lead * np.sqrt(2.0 / gammas))
+    s = np.concatenate([b @ z.real, b @ -z.imag], axis=1)
+    if not is_symplectic(s, tol=1e-8):
+        raise NumericalGuardError("assembled transform failed the symplectic condition")
+    residual = float(np.max(np.abs(s * np.concatenate([gammas, gammas]) @ s.T - alpha)))
+    if residual > 1e-8 * max(1.0, float(np.max(np.abs(alpha)))):
+        raise NumericalGuardError("Williamson reconstruction residual %.3e" % residual)
+    return WilliamsonResult(s=s, gammas=gammas)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of a Taylor series."""
+    norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.25)))) if norm > 0.25 else 0
+    a = a / 2.0**squarings
+    out = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for k in range(1, 20):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.3) -> np.ndarray:
@@ -358,11 +294,8 @@ def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.3) -> n
         scale: entrywise standard deviation of K; ~0.3 keeps squeezing
             moderate (condition number of S typically below ~10).
     """
-    from scipy.linalg import expm
-
     k = rng.normal(0.0, scale, (2 * n, 2 * n))
-    s = expm(symplectic_form(n) @ (0.5 * (k + k.T)))
-    return _check_constructed(s)
+    return _check_constructed(_expm(symplectic_form(n) @ (0.5 * (k + k.T))))
 
 
 def random_cm(

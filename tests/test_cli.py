@@ -415,6 +415,18 @@ def test_verify_oracle_suite(capsys, dim_args):
     assert lines[-1] == "overall    PASS"
 
 
+def test_verify_reports_a_small_fock_cutoff_as_fail(capsys):
+    """A cutoff too small for the oracle pairs trips the truncation guard;
+    verify reports that as the oracle suite's FAIL and still runs every
+    other suite."""
+    code, out = run(capsys, ["verify", "--suite", "all", "--dim", "8"])
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["roundtrip", "PASS"], ["oracle", "FAIL"], ["descent", "PASS"], ["overall", "FAIL"]]
+    assert "pair 1 of 7   truncation defect" in lines[1] and "(dim 8)" in lines[1]
+
+
 def test_verify_reports_failure(capsys, monkeypatch):
     monkeypatch.setattr("gree.cli._verify_roundtrip", lambda seed: (False, "forced"))
     code, out = run(capsys, ["verify", "--suite", "roundtrip"])

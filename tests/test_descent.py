@@ -31,7 +31,7 @@ from gree import (
 )
 from gree import descent
 from gree.descent import make_state
-from gree.gaussian import _ppt_verdict
+from gree.gaussian import PHYSICAL_TOL, _ppt_verdict
 from conftest import draw_separable_em, eigensolver_ppt_verdict, ppt_margin, thermal_cm
 
 RHO_TWO_MODE = standard_cm(1.2, 0.9, 0.7, 0.6)
@@ -352,13 +352,32 @@ def test_ppt_verdict_matches_is_separable_across_border_crossings():
         found = [_ppt_verdict(sigma) for sigma in sigmas]
         assert found == [is_separable(sigma)[0] for sigma in sigmas]
         # at the border itself the partial transpose sits within roundoff of
-        # the threshold, where no two verdict routes need agree; 1e-9 to
-        # either side of it, and further out, they must
-        assert all(abs(ppt_margin(sigma)) <= 1e-14 for sigma in sigmas[:2])
+        # 1/2, above the verdict's threshold 1/2 - PHYSICAL_TOL; 1e-9 to
+        # either side of the border, and further out, the routes must agree
+        assert all(abs(ppt_margin(sigma) - PHYSICAL_TOL) <= 1e-14 for sigma in sigmas[:2])
         assert found[2:] == [eigensolver_ppt_verdict(sigma) for sigma in sigmas[2:]]
         verdicts += found
     assert crossed >= 3
     assert any(verdicts) and not all(verdicts)
+
+
+def test_border_states_read_separable_at_one_half():
+    """Every crossing is bisected to where the partial transpose's smallest
+    symplectic eigenvalue is 1/2 itself, not to the verdict's slack edge
+    1/2 - PHYSICAL_TOL, so the returned border EM reads separable."""
+    rng = np.random.default_rng(5)
+    crossed = 0
+    for _ in range(100):
+        rho = random_cm(rng, 2, 0.6, 2.5)
+        sigma0 = cm_to_em(random_cm(rng, 2, 0.6, 2.5))
+        _, border_em = descend(rho, sigma0, stop="at_border")
+        if border_em is None:
+            continue
+        crossed += 1
+        sigma = em_to_cm(border_em)
+        assert is_separable(sigma)[0]
+        assert abs(ppt_margin(sigma) - PHYSICAL_TOL) <= 1e-12
+    assert crossed >= 5
 
 
 def test_carried_objective_matches_an_independent_eigensolve():
@@ -390,29 +409,31 @@ def test_descend_guards_the_symplectic_spectrum_of_beta(monkeypatch):
             descend(RHO_TWO_MODE, cm_to_em(thermal_cm(1.1, 1.2)), stop=stop)
 
 
-# descend's results on the pinned pairs, recorded before the float kernel
-# (numpy transforms and eigensolver verdicts); the CLI tests' rho with both
-# of their sigma0 documents, and the noisy TMSV from the first of them
+# descend's results on the pinned pairs: the CLI tests' rho with both of
+# their sigma0 documents, and the noisy TMSV from the first of them.  The
+# at_rho results were recorded before the float kernel (numpy transforms
+# and eigensolver verdicts); the at_border ones when the border bisection
+# moved from the verdict's slack edge 1/2 - PHYSICAL_TOL to 1/2 itself
 BORDER_EM_NOISY_TMSV = np.array([
-    [2.132771442149881, -0.5322349131865189, 0.0, 0.0],
-    [-0.5322349131865189, 2.1327714421498816, 0.0, 0.0],
-    [0.0, 0.0, 2.132771442149881, 0.5322349131865189],
-    [0.0, 0.0, 0.5322349131865189, 2.1327714421498816],
+    [2.132771441838936, -0.5322349128266288, 0.0, 0.0],
+    [-0.5322349128266288, 2.1327714418389365, 0.0, 0.0],
+    [0.0, 0.0, 2.132771441838936, 0.5322349128266283],
+    [0.0, 0.0, 0.5322349128266283, 2.1327714418389374],
 ])
 BORDER_EM_TWO_MODE = np.array([
-    [1.333412384147372, -0.9515154676325905, 0.0, 0.0],
-    [-0.9515154676325905, 2.3056390772658424, 0.0, 0.0],
-    [0.0, 0.0, 1.2397802775427411, 0.5231962525751351],
-    [0.0, 0.0, 0.5231962525751351, 1.6933653312822048],
+    [1.333412383849826, -0.9515154672751354, 0.0, 0.0],
+    [-0.9515154672751354, 2.305639077049277, 0.0, 0.0],
+    [0.0, 0.0, 1.2397802774814781, 0.5231962523020897],
+    [0.0, 0.0, 0.5231962523020897, 1.6933653309354453],
 ])
 AT_RHO_TWO_MODE = (-1.5543122344752192e-15, [0.9867862448410658, 0.6604944413032301], 0, None)
-AT_BORDER_TWO_MODE = (0.08308129742424453, [1.014306514951407, 0.6881942873181217], 1,
+AT_BORDER_TWO_MODE = (0.0830812975340125, [1.0143065149889647, 0.6881942873556791], 1,
                       BORDER_EM_TWO_MODE)
 PINNED_DESCENTS = [
     ("noisy_tmsv", RHO_NOISY_TMSV, (1.3, 1.4), "at_rho",
      (0.0, [0.5864370745176892, 0.5864370745176893], 0, None)),
     ("noisy_tmsv", RHO_NOISY_TMSV, (1.3, 1.4), "at_border",
-     (0.26745640159627826, [0.6451880776728377, 0.6451880776728376], 1, BORDER_EM_NOISY_TMSV)),
+     (0.2674564017531136, [0.6451880777108063, 0.6451880777108061], 1, BORDER_EM_NOISY_TMSV)),
     ("cli_border_pair", RHO_TWO_MODE, (1.3, 1.4), "at_rho", AT_RHO_TWO_MODE),
     ("cli_border_pair", RHO_TWO_MODE, (1.3, 1.4), "at_border", AT_BORDER_TWO_MODE),
     ("cli_rho_pair", RHO_TWO_MODE, (1.1, 1.2), "at_rho", AT_RHO_TWO_MODE),

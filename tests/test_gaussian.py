@@ -61,6 +61,12 @@ def test_check_physical_rejects_sub_vacuum():
         check_physical(np.diag([0.4, 0.4]))
 
 
+def test_check_physical_accepts_squeezed_vacua_up_to_r_3_5():
+    for r in np.arange(0.0, 3.5 + 1e-9, 0.05):
+        gammas = check_physical(tmsv_cm(r))
+        np.testing.assert_allclose(gammas, [0.5, 0.5], rtol=0, atol=1e-10)
+
+
 # -alpha has alpha's symplectic spectrum; an indefinite matrix can pass the
 # uncertainty bound with det alpha > 0
 NOT_POSITIVE_DEFINITE = {

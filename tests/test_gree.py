@@ -719,9 +719,16 @@ def test_gree_reports_evaluations_per_family(monkeypatch):
 
 
 def test_importing_the_package_leaves_scipy_optimize_and_sparse_out():
+    """Importing the package, and running the transforms, the spectrum, the
+    Williamson decomposition and a two-mode descent, loads no scipy module."""
     code = (
-        "import sys, gree, gree.cli; "
-        "print(' '.join(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+        "import sys, numpy as np, gree, gree.cli\n"
+        "rng = np.random.default_rng(0)\n"
+        "rho, sigma = gree.random_cm(rng, 2), gree.random_cm(rng, 2)\n"
+        "gree.em_to_cm(gree.cm_to_em(rho))\n"
+        "gree.williamson(rho), gree.symplectic_eigenvalues(rho)\n"
+        "gree.descend(rho, gree.cm_to_em(sigma))\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(gree_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

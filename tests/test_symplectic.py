@@ -234,11 +234,21 @@ def _assert_williamson(alpha, gammas_expect=None):
 def test_williamson_blockdiag_route():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        # qq/pp blocks only: exercises the real eigenvector construction
+        # qq/pp blocks only: S comes out as S_q (+) S_p
         alpha = random_cm(rng, 2)
         alpha[:2, 2:] = 0.0
         alpha[2:, :2] = 0.0
+        s, _ = williamson(alpha)
+        assert np.max(np.abs(s[:2, 2:])) <= 1e-12 and np.max(np.abs(s[2:, :2])) <= 1e-12
         _assert_williamson(alpha)
+
+
+def test_williamson_of_a_thermal_cm_is_the_identity():
+    # each eigenvector's phase is fixed by its leading q component, so a
+    # diagonal input gets S = I whatever phase the eigensolver returns
+    s, gammas = williamson(thermal_cm(1.4, 1.1, 0.7))
+    np.testing.assert_allclose(s, np.eye(6), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(gammas, [1.4, 1.1, 0.7], rtol=0, atol=1e-14)
 
 
 def test_williamson_general_route():
@@ -265,8 +275,10 @@ def test_williamson_near_degenerate_gap():
 
 
 def test_williamson_rejects_indefinite():
-    with pytest.raises(NumericalGuardError):
-        williamson(-np.eye(4))
+    # -alpha has alpha's symplectic spectrum; both functions need alpha^(1/2)
+    for decompose in (williamson, symplectic_eigenvalues):
+        with pytest.raises(NumericalGuardError, match="not positive definite"):
+            decompose(-np.eye(4))
 
 
 def test_random_cm_is_physical():
