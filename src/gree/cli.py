@@ -9,7 +9,7 @@ States travel as JSON documents with the fields
     metadata  free-form dict, passed through untouched
 
 All floats are written with 17 significant digits, so identical inputs
-and flags (including --seed) produce byte-identical outputs.  Exit codes:
+and flags produce byte-identical outputs.  Exit codes:
 0 success, 2 validation error, 3 numerical guard, 4 search failure; on
 error a {"error": {...}} document goes to stdout.  Values are in nats
 unless --bits is given; gree documents always carry both.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -323,13 +322,13 @@ def _cmd_gree(args) -> int:
     families = None
     if args.types is not None:
         families = tuple(t.strip() for t in args.types.split(",") if t.strip())
-    res = gree(cm, starts=args.starts, seed=args.seed, families=families, tol=args.tol)
+    res = gree(cm, starts=args.starts, families=families, tol=args.tol)
     return _emit(_gree_document("gree", res), args.output)
 
 
 def _cmd_gree_sym(args) -> int:
     p = SymmetricParams(m=args.m, kq=args.kq, kp=args.kp)
-    res = gree_symmetric(p, starts=args.starts, seed=args.seed)
+    res = gree_symmetric(p, starts=args.starts)
     return _emit(_gree_document("gree-sym", res), args.output)
 
 
@@ -415,8 +414,8 @@ def _fig12_state(
     return s @ standard_cm(gamma_a, gamma_b, 0.0, 0.0) @ s.T, x
 
 
-def _per_type_cells(cm: np.ndarray, starts: int, seed: int, tol: float):
-    res = gree(cm, starts=starts, seed=seed, tol=tol)
+def _per_type_cells(cm: np.ndarray, starts: int, tol: float):
+    res = gree(cm, starts=starts, tol=tol)
     per = res.diagnostics.get("per_type")
     if not per:
         return [format_float(0.0)] + ["nan"] * 4, "separable"
@@ -428,20 +427,20 @@ def _per_type_cells(cm: np.ndarray, starts: int, seed: int, tol: float):
 def _scan_worker(task) -> List[str]:
     recipe = task[0]
     if recipe in ("fig1", "fig2"):
-        _, gamma_a, gamma_b, shape, offset, starts, seed, tol = task
+        _, gamma_a, gamma_b, shape, offset, starts, tol = task
         head = [format_float(v) for v in (gamma_a, gamma_b, shape)]
         try:
             cm, derived = _fig12_state(recipe, gamma_a, gamma_b, shape, offset)
-            cells, status = _per_type_cells(cm, starts, seed, tol)
+            cells, status = _per_type_cells(cm, starts, tol)
             return head + [format_float(derived)] + cells + [status]
         except (ValidationError, NumericalGuardError, SearchFailureError) as exc:
             return head + ["nan"] * 6 + ["error:" + type(exc).__name__]
-    _, target, gamma_a, gamma_b, x, offset, starts, seed, tol = task
+    _, target, gamma_a, gamma_b, x, offset, starts, tol = task
     head = [format_float(v) for v in (target, gamma_a, gamma_b)]
     try:
         cm, _ = _fig12_state("fig1", gamma_a, gamma_b, x, offset)
         original = classify(standard_form(cm)).ratio
-        res = gree(cm, starts=starts, seed=seed, tol=tol)
+        res = gree(cm, starts=starts, tol=tol)
         if res.best_em is None:
             return head + [format_float(0.0), format_float(original), "nan", "separable"]
         minimizer = classify(standard_form(em_to_cm(res.best_em))).ratio
@@ -458,6 +457,7 @@ def _scan_worker(task) -> List[str]:
 def _map_rows(tasks, workers: int) -> List[List[str]]:
     if workers <= 1:
         return [_scan_worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # slow to import, so only here
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_worker, tasks, chunksize=1))
 
@@ -492,8 +492,7 @@ def _cmd_scan(args) -> int:
             ]
             header = "gamma_a,gamma_b,theta,x,value,type_I,type_II,type_III,type_IV,status"
         tasks = [
-            (args.recipe, float(ga), args.gamma_b, shape, args.offset, args.starts,
-             args.seed, args.tol)
+            (args.recipe, float(ga), args.gamma_b, shape, args.offset, args.starts, args.tol)
             for ga in grid
         ]
     else:
@@ -517,7 +516,7 @@ def _cmd_scan(args) -> int:
         grid = np.linspace(args.gamma_a_min, args.gamma_a_max, points)
         tasks = [
             ("fig3", q, float(ga), (1.0 + q) / (2.0 * (1.0 - q)), args.x,
-             args.offset, args.starts, args.seed, args.tol)
+             args.offset, args.starts, args.tol)
             for q in targets
             for ga in grid
         ]
@@ -685,7 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gree", help="Gaussian relative entropy of entanglement")
     _add_io(p)
     p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument(
         "--types", default=None, help="restrict the search, e.g. --types I,III"
@@ -698,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kq", type=float, required=True)
     p.add_argument("--kp", type=float, required=True)
     p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gree_sym)
 
     p = sub.add_parser("gree-tmst", help="gree of a squeezed thermal state (m, k)")
@@ -731,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="0.2,0.4,0.6,0.8",
                    help="target original ratios (fig3)")
     p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_scan)

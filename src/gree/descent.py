@@ -123,6 +123,8 @@ def make_state(
     alpha_rho = np.asarray(alpha_rho, dtype=float)
     s_sigma = np.asarray(s_sigma, dtype=float)
     gammas_sigma = np.asarray(gammas_sigma, dtype=float)
+    if alpha_rho.shape != s_sigma.shape:
+        raise ValidationError("mode-count mismatch between rho and sigma")
     if np.any(gammas_sigma <= 0.5):
         raise ValidationError(
             "sigma symplectic eigenvalues must stay above the pure-state bound 1/2"

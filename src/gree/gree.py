@@ -494,29 +494,17 @@ def _neg_log_c(gamma_a: float, gamma_b: float) -> float:
     return 0.5 * (math.log(gamma_a**2 - 0.25) + math.log(gamma_b**2 - 0.25))
 
 
-def _seeds(pool: Sequence[tuple], starts: int, rng: np.random.Generator) -> list:
-    """The first `starts` points of a sorted seed pool; past its end the
-    points cycle again, each jittered by 0.3 standard normals."""
-    seeds = list(pool[:starts])
-    while len(seeds) < starts:
-        jitter = 0.3 * rng.standard_normal(len(pool[0]))
-        seeds.append(tuple(
-            float(c + e) for c, e in zip(seeds[len(seeds) % len(pool)], jitter)
-        ))
-    return seeds
-
-
 def _multistart(
     fun: Callable[[tuple], float], pool: Sequence[tuple], starts: int,
-    rng: Optional[np.random.Generator], fatol: float, xatol: float,
+    fatol: float, xatol: float,
 ) -> Tuple[Tuple[float, Optional[tuple]], int, int]:
     """Multistart simplex minimum of fun over a seed pool.
 
     The pool is scored and sorted stably, best first; its first `starts`
-    points (_seeds, with rng for the jittered ones past its end) start
-    simplices SIMPLEX_STEP wide.  The runs stop once two of them agree on
-    the lowest minimum within fatol, after `starts` runs, or before the
-    first when even the best pool point is infeasible.
+    points (all of them when `starts` exceeds the pool) start simplices
+    SIMPLEX_STEP wide.  The runs stop once two of them agree on the
+    lowest minimum within fatol, after the last of those points, or
+    before the first when even the best pool point is infeasible.
 
     Returns:
         ((value, x) of the best run, or (inf, None) when no run found a
@@ -524,11 +512,10 @@ def _multistart(
     """
     scores = [fun(p) for p in pool]
     order = sorted(range(len(pool)), key=scores.__getitem__)
-    seeds = _seeds([pool[i] for i in order], starts, rng)
     best, minima, nit = (math.inf, None), [], 0
     # the pool is sorted, so an infeasible best point means all are
     if math.isfinite(scores[order[0]]):
-        for x0 in seeds:
+        for x0 in (pool[i] for i in order[:starts]):
             simplex = [
                 tuple(c + SIMPLEX_STEP if j == k else c for j, c in enumerate(x0))
                 for k in range(len(x0))
@@ -576,7 +563,6 @@ def _entry(alpha_rho: np.ndarray) -> Tuple[np.ndarray, Optional[GreeResult]]:
 def gree(
     alpha_rho: np.ndarray,
     starts: int = 32,
-    seed: int = 0,
     families: Optional[Sequence[str]] = None,
     tol: float = 1e-10,
 ) -> GreeResult:
@@ -586,20 +572,20 @@ def gree(
     standard form and, for each family (I, II, III kind 1, III kind 2,
     IV), simplex searches run over (gamma_A, gamma_B) plus the shape
     variable where present, each candidate completed by the inner x/y
-    minimization.  The starts are the family's seed-grid points, best
-    first; a family stops once two starts reach the same lowest minimum
-    within tol, after `starts` starts, or at once when even its best
-    seed point is infeasible.  Family minima within TIE_TOL of the
-    lowest count as tied, and the first of them in type order
+    minimization.  The starts are the family's seed-grid points (100 for
+    types I and II, 25 for the others), best first; a family stops once
+    two starts reach the same lowest minimum within tol, after `starts`
+    starts or the whole grid, or at once when even its best seed point
+    is infeasible.  Family minima within TIE_TOL of the lowest count as
+    tied, and the first of them in type order
     I < II < III < IV gives the label, the value and the minimizing EM,
     so the label does not depend on roundoff or on the start count.
 
     Args:
         alpha_rho: physical two-mode CM.
-        starts: cap on the simplex starts per family (seeded from a
-            coarse grid, jittered beyond its size).
-        seed: RNG seed for the jittered extra starts.
-        families: labels to restrict the search to (default all four).
+        starts: cap on the simplex starts per family search.
+        families: a sequence of labels to restrict the search to
+            (default all four); a bare string is rejected.
         tol: function tolerance of the simplex refinements, and the
             agreement that stops a family.
 
@@ -617,8 +603,8 @@ def gree(
     else:
         selected = tuple(families)
         bad = set(selected) - set(_TYPE_ORDER)
-        if bad or not selected:
-            raise ValidationError("families must be a nonempty subset of I..IV")
+        if isinstance(families, str) or bad or not selected:
+            raise ValidationError("families must be a nonempty sequence of labels I..IV")
     _check_knobs(starts, tol)
     gammas_rho, zero = _entry(alpha_rho)
     if zero is not None:
@@ -659,7 +645,6 @@ def gree(
             return math.inf
         return self_term + _neg_log_c(params.gamma_a, params.gamma_b) + math.sqrt(p * q)
 
-    rng = np.random.default_rng(seed)
     u_anchor = [math.log(max(g - 0.5, 1e-4)) for g in gammas_rho]
     u_grid = [-2.3, -0.7, 0.3, 1.2]
     shape_grid = [0.15, 0.4, 0.8, 1.3]
@@ -695,7 +680,7 @@ def gree(
                     pool.extend((ua, ub, sh) for sh in shape_grid)
                 else:
                     pool.append((ua, ub))
-        (best, v), starts_run[key], nit = _multistart(fun, pool, starts, rng, tol, 1e-8)
+        (best, v), starts_run[key], nit = _multistart(fun, pool, starts, tol, 1e-8)
         total_iters += nit
         evaluations[key] = {"calls": tally[0], "inf": tally[1]}
         per_type[key] = best
@@ -806,17 +791,17 @@ def _symmetric_result(
     )
 
 
-def gree_symmetric(p: SymmetricParams, starts: int = 8, seed: int = 0) -> GreeResult:
+def gree_symmetric(p: SymmetricParams, starts: int = 8) -> GreeResult:
     """GREE of a symmetric two-mode state by the two-variable border
     objective in (Mt_A, Mt_B); the minimizer is itself symmetric and
     needs no x squeeze (x = 1).
 
     Args:
         p: symmetric-state parameters (m, kq, kp).
-        starts: cap on the simplex starts (coarse-grid seeded), which
-            stop once two agree within 1e-12; diagnostics["starts"]
+        starts: cap on the simplex starts, seeded from a coarse grid of
+            16 or 17 points (a cap beyond it runs the grid); they stop
+            once two agree within 1e-12, and diagnostics["starts"]
             counts the starts run.
-        seed: RNG seed for jittered extra starts.
     """
     _check_knobs(starts)
     gammas_rho, zero = _entry(symmetric_cm(p))
@@ -829,8 +814,7 @@ def gree_symmetric(p: SymmetricParams, starts: int = 8, seed: int = 0) -> GreeRe
     if gammas_rho[-1] > 0.5 + PURITY_EPS:
         mt_rho = em_spectrum(gammas_rho)
         pool.insert(0, (math.log(mt_rho[0]), math.log(mt_rho[1])))
-    rng = np.random.default_rng(seed)
-    (best_w, best_v), runs, iters = _multistart(w, pool, starts, rng, 1e-12, 1e-10)
+    (best_w, best_v), runs, iters = _multistart(w, pool, starts, 1e-12, 1e-10)
     if not math.isfinite(best_w):
         raise SearchFailureError("symmetric border search failed")
     diagnostics = {"starts": runs, "iterations": iters,
@@ -855,8 +839,6 @@ def gree_tmst(m: float, k: float) -> GreeResult:
 
     w, _ = _symmetric_w(p)
     grid = [(-6.0 + 0.25 * j,) for j in range(49)]
-    (best_w, best_v), _, _ = _multistart(
-        lambda v: w((v[0], v[0])), grid, 1, None, 1e-12, 1e-10
-    )
+    (best_w, best_v), _, _ = _multistart(lambda v: w((v[0], v[0])), grid, 1, 1e-12, 1e-10)
     t_opt = math.exp(best_v[0])
     return _symmetric_result(gammas_rho, best_w, t_opt, t_opt, {"minimizer_mtilde": t_opt})

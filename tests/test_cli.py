@@ -3,6 +3,10 @@ determinism, exit codes, and the scan/verify subcommands."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from gree import (
     tmst_cm,
     tmsv_cm,
 )
+from gree import cli as cli_module
 from gree.cli import (
     DESCENT_RISE_TOL,
     dumps_canonical,
@@ -200,7 +205,7 @@ def test_classify_and_separable_documents(tmp_path, capsys):
 
 def test_gree_output_is_byte_identical(tmp_path, capsys):
     doc = write_doc(tmp_path / "rho.json", tmsv_cm(0.4))
-    args = ["gree", "-i", doc, "--starts", "4", "--seed", "1"]
+    args = ["gree", "-i", doc, "--starts", "4"]
     code_a, out_a = run(capsys, args)
     code_b, out_b = run(capsys, args)
     assert code_a == code_b == 0
@@ -311,6 +316,46 @@ def test_descend_at_rho_document(tmp_path, capsys):
     assert doc["border_value"] is None and doc["border_em"] is None
     assert doc["steps"] > 0 and doc["crossings"] == 0
     assert len(doc["gammas_sigma"]) == 2
+
+
+@pytest.mark.parametrize("rho, sigma0", [
+    (standard_cm(1.2, 0.9, 0.7, 0.6), thermal_cm(1.1, 1.2, 1.3)),
+    (thermal_cm(0.9), thermal_cm(1.1, 1.2)),
+], ids=["n2-vs-n3", "n1-vs-n2"])
+def test_descend_mode_count_mismatch_exits_2(tmp_path, capsys, rho, sigma0):
+    rho_path = write_doc(tmp_path / "rho.json", rho)
+    sig_path = write_doc(tmp_path / "sig.json", cm_to_em(sigma0), kind="em")
+    code, out = run(capsys, ["descend", "-i", rho_path, "--sigma0", sig_path])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {
+        "type": "ValidationError",
+        "message": "mode-count mismatch between rho and sigma",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["gree"],
+    ["gree-sym", "--m", "1.6", "--kq", "0.9", "--kp", "0.7"],
+    ["scan", "fig1"],
+], ids=["gree", "gree-sym", "scan"])
+def test_search_commands_take_no_seed(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = (
+        "import sys, gree, gree.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    )
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def scan_rows(text):

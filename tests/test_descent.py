@@ -231,6 +231,15 @@ def test_descend_stop_validation():
         descend(thermal_cm(1.0), cm_to_em(thermal_cm(1.0)), stop="at_border")
 
 
+@pytest.mark.parametrize("rho, sigma0", [
+    (RHO_TWO_MODE, cm_to_em(thermal_cm(1.1, 1.2, 1.3))),
+    (thermal_cm(0.9), cm_to_em(thermal_cm(1.1, 1.2))),
+], ids=["n2-vs-n3", "n1-vs-n2"])
+def test_descend_rejects_a_mode_count_mismatch(rho, sigma0):
+    with pytest.raises(ValidationError, match="mode-count mismatch"):
+        descend(rho, sigma0)
+
+
 def test_descend_from_rho_terminates_immediately():
     final, border = descend(RHO_TWO_MODE, cm_to_em(RHO_TWO_MODE), stop="at_rho")
     assert border is None

@@ -254,10 +254,10 @@ def test_gree_per_type_minimum_is_the_value():
     assert per_type[res.label] == min(per_type.values())
 
 
-def test_gree_same_seed_is_reproducible():
+def test_gree_is_reproducible():
     alpha = standard_cm(1.2, 0.9, 0.7, 0.6)
-    first = gree(alpha, starts=6, seed=3)
-    second = gree(alpha, starts=6, seed=3)
+    first = gree(alpha, starts=6)
+    second = gree(alpha, starts=6)
     assert first.value == second.value
     assert first.label == second.label
     assert first.params == second.params
@@ -271,6 +271,13 @@ def test_gree_families_restriction():
     assert set(res.diagnostics["per_type"]) == {"III"}
     with pytest.raises(ValidationError):
         gree(alpha, families=("V",))
+
+
+@pytest.mark.parametrize("families", ["I", "III", "IV"])
+def test_gree_rejects_a_bare_family_string(families):
+    # iterated, "III" would search type I three times
+    with pytest.raises(ValidationError):
+        gree(standard_cm(1.2, 0.9, 0.7, 0.6), starts=4, families=families)
 
 
 def test_gree_symmetric_route_matches_full_search():
@@ -691,6 +698,28 @@ def test_minimize_breaks_ties_by_vertex_order():
 def test_minimize_rejects_a_malformed_simplex():
     with pytest.raises(ValidationError):
         minimize(rosenbrock, (0.0, 0.0), [(0.1, 0.0)], 1e-10, 1e-8, 600)
+
+
+def test_multistart_caps_the_starts_at_the_pool(monkeypatch):
+    # three basins whose minima 0, 1 and 2 lie far more than fatol apart,
+    # so no two starts agree and every pool point starts a run
+    def basins(v):
+        return min((v[0] - c) ** 2 + d for c, d in ((0.0, 0.0), (10.0, 1.0), (20.0, 2.0)))
+
+    first_vertices = []
+    plain = gree_module.minimize
+
+    def recording(fun, x0, *args):
+        first_vertices.append(x0)
+        return plain(fun, x0, *args)
+
+    monkeypatch.setattr(gree_module, "minimize", recording)
+    pool = [(20.0,), (0.0,), (10.0,)]
+    (value, x), runs, nit = gree_module._multistart(basins, pool, 10, 1e-10, 1e-8)
+    assert runs == 3
+    assert first_vertices == [(0.0,), (10.0,), (20.0,)]
+    assert value < 1e-10 and abs(x[0]) < 1e-4
+    assert nit > 3
 
 
 def test_gree_reports_evaluations_per_family(monkeypatch):
