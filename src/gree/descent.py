@@ -35,15 +35,16 @@ import numpy as np
 
 from .errors import NumericalGuardError, SearchFailureError, ValidationError
 from .gaussian import (
+    _em_frame,
     _ppt_verdict,
     _pt_nu_minus,
     bosonic_entropy,
     bosonic_entropy_sum,
     check_physical,
     em_spectrum,
-    gamma_of_em_spectrum,
+    normalization_log_c,
 )
-from .symplectic import _embed, _planes, symplectic_eigenvalues, williamson
+from .symplectic import _embed, _frame, _planes, symplectic_eigenvalues
 
 # convergence and safety knobs for descend()
 MAX_ITERS = 10_000
@@ -107,9 +108,8 @@ def _general_objective(
     beta: np.ndarray, gammas_sigma: np.ndarray, self_entropy: float
 ) -> float:
     """S(rho||sigma) for arbitrary (not necessarily aligned) gamma_sigma."""
-    bar = _beta_bar(beta)
     g = np.asarray(gammas_sigma, dtype=float)
-    cross = float(np.sum(0.5 * np.log(g * g - 0.25) + bar * em_spectrum(g)))
+    cross = -normalization_log_c(g) + float(np.sum(_beta_bar(beta) * em_spectrum(g)))
     return -self_entropy + cross
 
 
@@ -146,29 +146,18 @@ def make_state(
 
 def initial_state(alpha_rho: np.ndarray, sigma0_em: np.ndarray) -> DescentState:
     """Start from sigma given as an exponential matrix."""
-    w = williamson(np.asarray(sigma0_em, dtype=float))
-    s_sigma = np.linalg.inv(w.s).T
-    gammas = gamma_of_em_spectrum(w.gammas)
-    return make_state(alpha_rho, s_sigma, gammas)
-
-
-def _sigma_cm(s_sigma: np.ndarray, gammas_sigma: np.ndarray) -> np.ndarray:
-    g = np.concatenate([gammas_sigma, gammas_sigma])
-    return s_sigma * g @ s_sigma.T
+    return make_state(alpha_rho, *_em_frame(np.asarray(sigma0_em, dtype=float)))
 
 
 def sigma_cm_of(state: DescentState) -> np.ndarray:
-    return _sigma_cm(state.s_sigma, state.gammas_sigma)
+    return _frame(state.s_sigma, state.gammas_sigma)
 
 
 def sigma_em_of(state: DescentState) -> np.ndarray:
     g = np.asarray(state.gammas_sigma, dtype=float)
     if np.any(g <= 0.5):
         raise NumericalGuardError("sigma is on the pure-state boundary")
-    mt = em_spectrum(g)
-    s_inv = np.linalg.inv(state.s_sigma)
-    m = s_inv.T * np.concatenate([mt, mt]) @ s_inv
-    return 0.5 * (m + m.T)
+    return _frame(np.linalg.inv(state.s_sigma).T, em_spectrum(g))
 
 
 def descent_objective(state: DescentState) -> float:
@@ -279,7 +268,7 @@ class _Walk:
         self.log.append((kind, params, self.objective))
 
     def sigma_cm(self) -> np.ndarray:
-        return _sigma_cm(np.array(self.s_cols).T, np.array(self.bar))
+        return _frame(np.array(self.s_cols).T, np.array(self.bar))
 
     def state(self, base: DescentState) -> DescentState:
         """The DescentState this walk reached from base."""

@@ -16,6 +16,7 @@ from .errors import NumericalGuardError, ValidationError
 from .symplectic import (
     _check_symmetric,
     _embed,
+    _frame,
     symplectic_form,
     symplectic_eigenvalues,
     williamson,
@@ -78,19 +79,24 @@ def check_physical(alpha: np.ndarray) -> np.ndarray:
     alpha = _check_symmetric(alpha)
     _check_positive_definite(alpha)
     gammas = symplectic_eigenvalues(alpha)
-    if gammas[-1] < 0.5 - PHYSICAL_TOL:
-        raise ValidationError(
-            "CM violates the uncertainty relation (min gamma = %.12g)" % gammas[-1]
-        )
+    _check_uncertainty(gammas[-1])
     return gammas
 
 
-def _check_positive_definite(alpha: np.ndarray) -> None:
-    """Raise ValidationError unless alpha has a Cholesky factorisation."""
+def _check_positive_definite(matrix: np.ndarray, what: str = "CM") -> None:
+    """Raise ValidationError unless matrix has a Cholesky factorisation."""
     try:
-        np.linalg.cholesky(alpha)
+        np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
-        raise ValidationError("CM is not positive definite") from None
+        raise ValidationError("%s is not positive definite" % what) from None
+
+
+def _check_uncertainty(gamma_min: float) -> None:
+    """Raise ValidationError if gamma_min < 1/2 - PHYSICAL_TOL."""
+    if gamma_min < 0.5 - PHYSICAL_TOL:
+        raise ValidationError(
+            "CM violates the uncertainty relation (min gamma = %.12g)" % gamma_min
+        )
 
 
 def von_neumann_entropy(alpha: np.ndarray) -> float:
@@ -108,12 +114,6 @@ def gamma_of_em_spectrum(mtilde: np.ndarray) -> np.ndarray:
     return 0.5 / np.tanh(0.5 * np.asarray(mtilde))
 
 
-def _commutation_residual(m: np.ndarray, alpha: np.ndarray) -> float:
-    delta = symplectic_form(m.shape[0] // 2)
-    dinv = -delta
-    return float(np.max(np.abs(m @ alpha @ dinv - dinv @ alpha @ m)))
-
-
 def cm_to_em(alpha: np.ndarray) -> np.ndarray:
     """Exponential matrix M = (S^T)^-1 diag(Mtilde) S^-1 of the CM alpha.
 
@@ -121,38 +121,55 @@ def cm_to_em(alpha: np.ndarray) -> np.ndarray:
     directions, so strictly mixed input is required.
 
     Args:
-        alpha: physical CM with all gamma_j >= 1/2 + 1e-9.
+        alpha: physical CM (else ValidationError) with all
+            gamma_j >= 1/2 + 1e-9 (else NumericalGuardError).
 
     Returns:
         The EM, checked to commute with alpha in the symplectic sense
         (||M alpha Delta^-1 - Delta^-1 alpha M||_max <= 1e-8).
     """
+    return _cm_to_em(alpha)[0]
+
+
+def _cm_to_em(alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """cm_to_em's EM together with alpha's symplectic eigenvalues, both from
+    one Williamson decomposition of alpha."""
+    alpha = np.asarray(alpha, dtype=float)
+    _check_positive_definite(alpha)
     s, gammas = williamson(alpha)
+    _check_uncertainty(gammas[-1])
     if gammas[-1] <= 0.5 + PURITY_EPS:
         raise NumericalGuardError(
             "pure direction: min gamma = %.12g, EM diverges" % gammas[-1]
         )
-    mtilde = em_spectrum(gammas)
-    s_inv = np.linalg.inv(s)
-    m = s_inv.T * np.concatenate([mtilde, mtilde]) @ s_inv
-    m = 0.5 * (m + m.T)
-    residual = _commutation_residual(m, alpha)
+    m = _frame(np.linalg.inv(s).T, em_spectrum(gammas))
+    dinv = -symplectic_form(alpha.shape[0] // 2)
+    residual = float(np.max(np.abs(m @ alpha @ dinv - dinv @ alpha @ m)))
     if residual > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
         raise NumericalGuardError("commutation residual %.3e" % residual)
-    return m
+    return m, gammas
+
+
+def _em_frame(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(S, gammas) of the state with EM m = (S^T)^-1 diag(Mtilde, Mtilde) S^-1,
+    from one Williamson decomposition of m, with gamma = 1/2 coth(Mtilde/2);
+    the state's CM is S diag(gamma, gamma) S^T.
+
+    Raises:
+        ValidationError: m is not symmetric positive definite.
+    """
+    _check_positive_definite(m, "EM")
+    w = williamson(m)
+    return np.linalg.inv(w.s).T, gamma_of_em_spectrum(w.gammas)
 
 
 def em_to_cm(m: np.ndarray) -> np.ndarray:
     """CM alpha = S diag(1/2 coth(Mtilde/2)) S^T of the EM m.
 
     Args:
-        m: symmetric positive-definite EM.
+        m: symmetric positive-definite EM (else ValidationError).
     """
-    w = williamson(m)
-    gam = gamma_of_em_spectrum(w.gammas)
-    s = np.linalg.inv(w.s).T  # m = W Mtilde W^T  <=>  M = (S^T)^-1 Mtilde S^-1
-    alpha = s * np.concatenate([gam, gam]) @ s.T
-    return 0.5 * (alpha + alpha.T)
+    return _frame(*_em_frame(m))
 
 
 def normalization_log_c(gammas: np.ndarray) -> float:
@@ -336,11 +353,7 @@ def _verdict(
     alpha: np.ndarray, det_a: float, det_b: float, det_c: float, det_alpha: float
 ) -> bool:
     """_ppt_verdict on the output of _local_invariants."""
-    gamma_min = _nu_minus(alpha, det_alpha, det_a + det_b + 2.0 * det_c, False)
-    if gamma_min < 0.5 - PHYSICAL_TOL:
-        raise ValidationError(
-            "CM violates the uncertainty relation (min gamma = %.12g)" % gamma_min
-        )
+    _check_uncertainty(_nu_minus(alpha, det_alpha, det_a + det_b + 2.0 * det_c, False))
     return _nu_minus(alpha, det_alpha, det_a + det_b - 2.0 * det_c, True) >= 0.5 - PHYSICAL_TOL
 
 

@@ -65,6 +65,9 @@ _TYPE_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
 # family minima within this of the lowest are tied; the first of them in
 # type order gives the label
 TIE_TOL = 1e-12
+# function tolerance of a family's simplex refinements, and the agreement
+# between two starts that stops the family
+SEARCH_FATOL = 1e-10
 
 
 class BorderParams(NamedTuple):
@@ -531,13 +534,10 @@ def _multistart(
     return best, len(minima), nit
 
 
-def _check_knobs(starts: int, tol: Optional[float] = None) -> None:
-    """Reject a start cap below 1 and a tolerance that is not finite and
-    positive."""
+def _check_knobs(starts: int) -> None:
+    """Reject a start cap below 1."""
     if not starts >= 1:
         raise ValidationError("starts must be at least 1, got %r" % (starts,))
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValidationError("tol must be finite and positive, got %r" % (tol,))
 
 
 def _entry(alpha_rho: np.ndarray) -> Tuple[np.ndarray, Optional[GreeResult]]:
@@ -564,7 +564,6 @@ def gree(
     alpha_rho: np.ndarray,
     starts: int = 32,
     families: Optional[Sequence[str]] = None,
-    tol: float = 1e-10,
 ) -> GreeResult:
     """GREE of a two-mode Gaussian state by search over border families.
 
@@ -574,9 +573,9 @@ def gree(
     variable where present, each candidate completed by the inner x/y
     minimization.  The starts are the family's seed-grid points (100 for
     types I and II, 25 for the others), best first; a family stops once
-    two starts reach the same lowest minimum within tol, after `starts`
-    starts or the whole grid, or at once when even its best seed point
-    is infeasible.  Family minima within TIE_TOL of the lowest count as
+    two starts reach the same lowest minimum within SEARCH_FATOL, after
+    `starts` starts or the whole grid, or at once when even its best seed
+    point is infeasible.  Family minima within TIE_TOL of the lowest count as
     tied, and the first of them in type order
     I < II < III < IV gives the label, the value and the minimizing EM,
     so the label does not depend on roundoff or on the start count.
@@ -586,8 +585,6 @@ def gree(
         starts: cap on the simplex starts per family search.
         families: a sequence of labels to restrict the search to
             (default all four); a bare string is rejected.
-        tol: function tolerance of the simplex refinements, and the
-            agreement that stops a family.
 
     Returns:
         GreeResult with the value in nats, the winning family, its
@@ -605,7 +602,7 @@ def gree(
         bad = set(selected) - set(_TYPE_ORDER)
         if isinstance(families, str) or bad or not selected:
             raise ValidationError("families must be a nonempty sequence of labels I..IV")
-    _check_knobs(starts, tol)
+    _check_knobs(starts)
     gammas_rho, zero = _entry(alpha_rho)
     if zero is not None:
         return zero
@@ -680,7 +677,7 @@ def gree(
                     pool.extend((ua, ub, sh) for sh in shape_grid)
                 else:
                     pool.append((ua, ub))
-        (best, v), starts_run[key], nit = _multistart(fun, pool, starts, tol, 1e-8)
+        (best, v), starts_run[key], nit = _multistart(fun, pool, starts, SEARCH_FATOL, 1e-8)
         total_iters += nit
         evaluations[key] = {"calls": tally[0], "inf": tally[1]}
         per_type[key] = best

@@ -1,5 +1,9 @@
 """Relative entropy S(rho||sigma) = Tr rho (log rho - log sigma) for
-Gaussian states, split into the self term and the cross term."""
+Gaussian states, split into the self term and the cross term
+-Tr rho log sigma = -log c(gamma_sigma) + (1/2) Tr(alpha_rho M_sigma).  One
+Williamson decomposition of a sigma CM gives M_sigma and gamma_sigma; a sigma
+EM gives gamma_sigma = (1/2) coth(Mtilde/2) from its own symplectic spectrum.
+"""
 
 from typing import NamedTuple, Optional
 
@@ -7,11 +11,11 @@ import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
 from .gaussian import (
-    bosonic_entropy_sum,
-    check_physical,
-    cm_to_em,
+    _check_positive_definite,
+    _cm_to_em,
     gamma_of_em_spectrum,
     normalization_log_c,
+    von_neumann_entropy,
 )
 from .symplectic import symplectic_eigenvalues, symplectic_form
 
@@ -26,21 +30,6 @@ class RelEntResult(NamedTuple):
     value: float
     self_term: float
     cross_term: float
-
-
-def cross_term(alpha_rho: np.ndarray, m_sigma: np.ndarray) -> float:
-    """-Tr rho log sigma = -log c(gamma_sigma) + (1/2) Tr(alpha_rho M_sigma).
-
-    Args:
-        alpha_rho: CM of rho.
-        m_sigma: EM of sigma.
-    """
-    alpha_rho = np.asarray(alpha_rho, dtype=float)
-    m_sigma = np.asarray(m_sigma, dtype=float)
-    if alpha_rho.shape != m_sigma.shape:
-        raise ValidationError("mode-count mismatch between rho and sigma")
-    log_c = normalization_log_c(gamma_of_em_spectrum(symplectic_eigenvalues(m_sigma)))
-    return float(-log_c + 0.5 * np.trace(alpha_rho @ m_sigma))
 
 
 def relative_entropy(
@@ -60,17 +49,24 @@ def relative_entropy(
     Returns:
         RelEntResult; tiny negative values (>= -1e-10) are clamped to 0,
         anything more negative raises NumericalGuardError.
+
+    Raises:
+        ValidationError: invalid rho or sigma, or differing mode counts.
+        NumericalGuardError: a sigma CM so nearly pure that its EM diverges.
     """
     alpha_rho = np.asarray(alpha_rho, dtype=float)
-    gammas_rho = check_physical(alpha_rho)
+    self_term = -von_neumann_entropy(alpha_rho)
     if sigma_kind == "cm":
-        m_sigma = cm_to_em(sigma)
+        m_sigma, gammas_sigma = _cm_to_em(sigma)
     elif sigma_kind == "em":
         m_sigma = np.asarray(sigma, dtype=float)
+        _check_positive_definite(m_sigma, "EM")
+        gammas_sigma = gamma_of_em_spectrum(symplectic_eigenvalues(m_sigma))
     else:
         raise ValidationError("sigma_kind must be 'cm' or 'em'")
-    self_term = -bosonic_entropy_sum(gammas_rho - 0.5)
-    cross = cross_term(alpha_rho, m_sigma)
+    if alpha_rho.shape != m_sigma.shape:
+        raise ValidationError("mode-count mismatch between rho and sigma")
+    cross = float(-normalization_log_c(gammas_sigma) + 0.5 * np.trace(alpha_rho @ m_sigma))
     if z is not None:
         cross += displacement_penalty(m_sigma, z)
     value = clamp_negative(self_term + cross, "relative entropy")

@@ -237,6 +237,13 @@ def symplectic_eigenvalues(alpha: np.ndarray) -> np.ndarray:
     return _positive_half(np.linalg.eigvalsh(_hermitian_form(alpha)[2]))
 
 
+def _frame(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """S diag(d, d) S^T, symmetrized: the CM or EM whose symplectic frame is
+    S and whose symplectic eigenvalues are d."""
+    m = s * np.concatenate([d, d]) @ s.T
+    return 0.5 * (m + m.T)
+
+
 def williamson(alpha: np.ndarray) -> WilliamsonResult:
     """Williamson decomposition alpha = S diag(gamma, gamma) S^T.
 
@@ -264,7 +271,7 @@ def williamson(alpha: np.ndarray) -> WilliamsonResult:
     s = np.concatenate([b @ z.real, b @ -z.imag], axis=1)
     if not is_symplectic(s, tol=1e-8):
         raise NumericalGuardError("assembled transform failed the symplectic condition")
-    residual = float(np.max(np.abs(s * np.concatenate([gammas, gammas]) @ s.T - alpha)))
+    residual = float(np.max(np.abs(_frame(s, gammas) - alpha)))
     if residual > 1e-8 * max(1.0, float(np.max(np.abs(alpha)))):
         raise NumericalGuardError("Williamson reconstruction residual %.3e" % residual)
     return WilliamsonResult(s=s, gammas=gammas)
@@ -315,6 +322,4 @@ def random_cm(
         scale: passed to random_symplectic.
     """
     gammas = rng.uniform(gamma_lo, gamma_hi, n)
-    s = random_symplectic(rng, n, scale)
-    alpha = s * np.concatenate([gammas, gammas]) @ s.T
-    return 0.5 * (alpha + alpha.T)
+    return _frame(random_symplectic(rng, n, scale), gammas)

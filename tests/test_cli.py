@@ -247,8 +247,6 @@ def test_gree_family_routes_agree(tmp_path, capsys):
     ["gree-sym", "--m", "2.0", "--kq", "1.2", "--kp", "1.0", "--starts", "0"],
     ["gree", "--starts", "0"],
     ["gree", "--starts", "-3"],
-    ["gree", "--tol", "-1.0"],
-    ["gree", "--tol", "nan"],
 ])
 def test_bad_search_knobs_exit_2(tmp_path, capsys, argv):
     if argv[0] == "gree":
@@ -258,13 +256,48 @@ def test_bad_search_knobs_exit_2(tmp_path, capsys, argv):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
-@pytest.mark.parametrize("command", ["entropy", "separable", "classify", "gree"])
-def test_negative_definite_cm_exits_2(tmp_path, capsys, command):
-    doc = write_doc(tmp_path / "rho.json", -tmsv_cm(0.5))
-    code, out = run(capsys, [command, "-i", doc])
+NOT_POSITIVE_DEFINITE = "not positive definite"
+UNCERTAINTY = "violates the uncertainty relation"
+
+
+# argv, the option that reads the invalid document ("-i": the state itself;
+# otherwise rho is tmsv_cm(0.5)), its kind and matrix, and the error message
+@pytest.mark.parametrize("argv, option, kind, matrix, message", [
+    pytest.param(["entropy"], "-i", "cm", -tmsv_cm(0.5), NOT_POSITIVE_DEFINITE, id="entropy"),
+    pytest.param(["separable"], "-i", "cm", -tmsv_cm(0.5), NOT_POSITIVE_DEFINITE,
+                 id="separable"),
+    pytest.param(["classify"], "-i", "cm", -tmsv_cm(0.5), NOT_POSITIVE_DEFINITE, id="classify"),
+    pytest.param(["gree"], "-i", "cm", -tmsv_cm(0.5), NOT_POSITIVE_DEFINITE, id="gree"),
+    pytest.param(["relent"], "--sigma", "cm", -np.eye(4), NOT_POSITIVE_DEFINITE,
+                 id="relent-sigma-cm"),
+    pytest.param(["descend"], "--sigma0", "cm", -np.eye(4), NOT_POSITIVE_DEFINITE,
+                 id="descend-sigma0-cm"),
+    pytest.param(["convert", "cm-to-em"], "-i", "cm", -np.eye(4), NOT_POSITIVE_DEFINITE,
+                 id="convert-cm"),
+    pytest.param(["relent"], "--sigma", "cm", 0.3 * np.eye(4), UNCERTAINTY,
+                 id="relent-sigma-cm-below-vacuum"),
+    pytest.param(["descend"], "--sigma0", "cm", 0.3 * np.eye(4), UNCERTAINTY,
+                 id="descend-sigma0-cm-below-vacuum"),
+    pytest.param(["convert", "cm-to-em"], "-i", "cm", 0.3 * np.eye(4), UNCERTAINTY,
+                 id="convert-cm-below-vacuum"),
+    pytest.param(["convert", "em-to-cm"], "-i", "em", -np.eye(4), NOT_POSITIVE_DEFINITE,
+                 id="convert-em"),
+    pytest.param(["relent"], "--sigma", "em", -np.eye(4), NOT_POSITIVE_DEFINITE,
+                 id="relent-sigma-em"),
+    pytest.param(["descend"], "--sigma0", "em", -np.eye(4), NOT_POSITIVE_DEFINITE,
+                 id="descend-sigma0-em"),
+    pytest.param(["entropy"], "-i", "em", -np.eye(4), NOT_POSITIVE_DEFINITE, id="entropy-em"),
+])
+def test_negative_definite_cm_exits_2(tmp_path, capsys, argv, option, kind, matrix, message):
+    doc = write_doc(tmp_path / "bad.json", matrix, kind=kind)
+    if option == "-i":
+        argv = argv + ["-i", doc]
+    else:
+        argv = argv + ["-i", write_doc(tmp_path / "rho.json", tmsv_cm(0.5)), option, doc]
+    code, out = run(capsys, argv)
     assert code == 2
     error = json.loads(out)["error"]
-    assert error["type"] == "ValidationError" and "not positive definite" in error["message"]
+    assert error["type"] == "ValidationError" and message in error["message"]
 
 
 def test_gree_types_restriction(tmp_path, capsys):
@@ -344,6 +377,14 @@ def test_search_commands_take_no_seed(capsys, argv):
         main(argv + ["--seed", "1"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gree"], ["scan", "fig1"]], ids=["gree", "scan"])
+def test_search_commands_take_no_tol(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--tol", "1e-10"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

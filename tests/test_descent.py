@@ -27,10 +27,9 @@ from gree import (
     standard_cm,
     symplectic_eigenvalues,
     tmst_cm,
-    transform_matrix,
 )
 from gree import descent
-from gree.descent import make_state
+from gree.descent import make_state, transform_matrix
 from gree.gaussian import PHYSICAL_TOL, _ppt_verdict
 from conftest import draw_separable_em, eigensolver_ppt_verdict, ppt_margin, thermal_cm
 

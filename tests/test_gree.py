@@ -25,7 +25,6 @@ from gree import (
     elementary_transform,
     em_spectrum,
     em_to_cm,
-    fold_cross_terms,
     gree,
     gree_symmetric,
     gree_tmst,
@@ -36,10 +35,9 @@ from gree import (
     symmetric_cm,
     tmst_cm,
     tmsv_cm,
-    xy_strip,
 )
 from gree.cli import _fig12_state
-from gree.gree import _inner_core, minimize
+from gree.gree import _inner_core, fold_cross_terms, minimize, xy_strip
 from conftest import draw_separable_cm
 
 # the module itself: the package attribute `gree` is the function
@@ -337,8 +335,8 @@ def test_gree_symmetric_starts_are_a_cap():
 
 
 @pytest.mark.parametrize("knobs", [
-    {"starts": 0}, {"starts": -3}, {"tol": -1.0}, {"tol": 0.0},
-    {"tol": float("nan")}, {"tol": float("inf")},
+    {"starts": 0}, {"starts": -3}, {"starts": 0.5}, {"starts": float("nan")},
+    {"families": ()}, {"families": ("V",)},
 ])
 def test_gree_rejects_bad_search_knobs(knobs):
     with pytest.raises(ValidationError):
