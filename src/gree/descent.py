@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NumericalGuardError, SearchFailureError, ValidationError
 from .gaussian import (
     _em_frame,
-    _ppt_verdict,
+    _frame_verdict,
     _pt_nu_minus,
     bosonic_entropy,
     bosonic_entropy_sum,
@@ -464,11 +464,11 @@ def descend(
         raise ValidationError("border monitoring is defined for two-mode states")
 
     state = initial_state(alpha_rho, sigma0)
-    separable = _ppt_verdict(sigma_cm_of(state)) if monitor else False
+    separable = _frame_verdict(sigma_cm_of(state)) if monitor else False
     aligned = align_gammas(state)
     border: Optional[DescentState] = None
     if monitor:
-        now = _ppt_verdict(sigma_cm_of(aligned))
+        now = _frame_verdict(sigma_cm_of(aligned))
         if now != separable:
             border = _bisect_crossing(state, "align", (), separable)
             marker = ("crossing", (border.objective,), border.objective)
@@ -486,7 +486,7 @@ def descend(
             for kind, params, _ in stepped.step_log[len(before.step_log):]:
                 prev = replay.copy()
                 replay.transform(kind, params)
-                now = _ppt_verdict(replay.sigma_cm())
+                now = _frame_verdict(replay.sigma_cm())
                 if now != separable:
                     border = _bisect_crossing(prev.state(before), kind, params, separable)
                     marker = ("crossing", (border.objective,), border.objective)

@@ -17,8 +17,8 @@ from .symplectic import (
     _check_symmetric,
     _embed,
     _frame,
+    _symplectic_spectrum,
     symplectic_form,
-    symplectic_eigenvalues,
     williamson,
 )
 
@@ -78,7 +78,7 @@ def check_physical(alpha: np.ndarray) -> np.ndarray:
     definite (-alpha has the same symplectic spectrum) and gamma_j >= 1/2."""
     alpha = _check_symmetric(alpha)
     _check_positive_definite(alpha)
-    gammas = symplectic_eigenvalues(alpha)
+    gammas = _symplectic_spectrum(alpha)
     _check_uncertainty(gammas[-1])
     return gammas
 
@@ -318,7 +318,13 @@ def _local_invariants(alpha: np.ndarray) -> Tuple[np.ndarray, float, float, floa
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (4, 4):
         raise ValidationError("separability test is defined for two-mode CMs")
-    alpha = _check_symmetric(alpha)
+    return _frame_invariants(_check_symmetric(alpha))
+
+
+def _frame_invariants(alpha: np.ndarray) -> Tuple[np.ndarray, float, float, float, float]:
+    """_local_invariants of a 4x4 float CM that is symmetric by
+    construction, such as a symplectic._frame output, with no shape or
+    symmetry check; its leading 3x3 block is still checked."""
     _check_positive_definite(alpha[:3, :3])
     a = alpha.tolist()
     det_a = a[0][0] * a[2][2] - a[0][2] * a[0][2]
@@ -349,6 +355,12 @@ def _ppt_verdict(alpha: np.ndarray) -> bool:
     return _verdict(*_local_invariants(alpha))
 
 
+def _frame_verdict(sigma: np.ndarray) -> bool:
+    """_ppt_verdict of a two-mode CM that is symmetric by construction (a
+    symplectic._frame output), with no symmetry check."""
+    return _verdict(*_frame_invariants(sigma))
+
+
 def _verdict(
     alpha: np.ndarray, det_a: float, det_b: float, det_c: float, det_alpha: float
 ) -> bool:
@@ -365,15 +377,17 @@ def _nu_minus(alpha: np.ndarray, det_alpha: float, delta: float, flip: bool) -> 
     disc = delta * delta - 4.0 * det_alpha
     if disc < CLOSED_FORM_GAP * delta * delta:
         cm = _partial_transpose(alpha) if flip else alpha
-        return float(symplectic_eigenvalues(cm)[-1])
+        return float(_symplectic_spectrum(cm)[-1])
     if delta <= 0.0:
         raise NumericalGuardError("symplectic spectrum is not a set of +-i nu pairs")
     return math.sqrt(det_alpha / (0.5 * (delta + math.sqrt(disc))))
 
 
-def _pt_nu_minus(alpha: np.ndarray) -> float:
-    """_nu_minus of the partial transpose, with no slack and no uncertainty check."""
-    alpha, det_a, det_b, det_c, det_alpha = _local_invariants(alpha)
+def _pt_nu_minus(sigma: np.ndarray) -> float:
+    """_nu_minus of the partial transpose of a two-mode CM that is symmetric
+    by construction (a symplectic._frame output), with no slack and no
+    uncertainty check."""
+    alpha, det_a, det_b, det_c, det_alpha = _frame_invariants(sigma)
     return _nu_minus(alpha, det_alpha, det_a + det_b - 2.0 * det_c, True)
 
 

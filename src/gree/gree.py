@@ -11,15 +11,25 @@ provided as independent routes.  All three routes run one multistart
 simplex driver (`_multistart`) over a sorted seed pool.
 
 The searches run on plain Python floats: a Nelder-Mead simplex in this
-module (`minimize`, scipy's non-adaptive method step for step) over an
-objective that returns a bare float from closed-form border blocks and
-the float core of the inner minimum.  Vertices are ranked by Python's
-stable sort, so the order of exactly tied vertices, and with it the
-minimizer inside a flat valley, does not depend on the machine.
+module (`minimize`, scipy's non-adaptive method step for step) over one
+module-level family objective (`_family_objective`).  It goes from log
+gaps to gammas, x', the six q/p blocks of the border EM, strip and fold,
+the inner minimum and the value, and scores a point with no border state
+inf without raising.  Each formula lives in one float helper (`_x_prime`,
+`_family_blocks`, `_strip_blocks`, `fold_cross_terms`, `_inner_core`)
+that returns its result, or as a str the reason there is none;
+`border_x_prime`, `border_em`, `xy_strip` and `inner_minimize` are thin
+wrappers that validate their arguments and raise those reasons as
+NumericalGuardError.  Vertices are ranked by Python's stable sort, so the
+order of exactly tied vertices, and with it the minimizer inside a flat
+valley, does not depend on the machine.
 """
 
 import math
-from operator import itemgetter
+from bisect import insort
+from functools import partial
+from itertools import repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +71,9 @@ SIMPLEX_STEP = 0.1
 
 # ranks the (value, vertex) pairs of a simplex
 _VALUE = itemgetter(0)
+# the simplex steps' coefficients as one-argument products
+_HALF, _THREE_HALVES = partial(mul, 0.5), partial(mul, 1.5)
+_TWICE, _THRICE = partial(mul, 2.0), partial(mul, 3.0)
 _TYPE_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
 # family minima within this of the lowest are tied; the first of them in
 # type order gives the label
@@ -119,6 +132,38 @@ def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
+# the reason a family point has no border EM once a parameter overflows
+_OVERFLOW = "border parameters overflow double precision"
+
+
+def _x_prime(label: str, gamma_a: float, gamma_b: float, shape: float):
+    """border_x_prime's x' as a float, or as a str the reason that no
+    border state exists at these parameters.  The label and the gammas
+    are the caller's to check."""
+    try:
+        lhs = (2.0 * gamma_a**2 - 0.5) * (2.0 * gamma_b**2 - 0.5)
+        strength = math.sinh(2.0 * shape) ** 2 if label == "I" else math.sin(2.0 * shape) ** 2
+    except OverflowError:
+        return _OVERFLOW
+    if strength < 1e-300:
+        return "degenerate shape parameter: x' out of domain"
+    cross = gamma_a**2 + gamma_b**2
+    if label == "I":
+        t = (lhs / strength - cross) / (gamma_a * gamma_b)
+    else:
+        t = (lhs / strength + cross) / (gamma_a * gamma_b)
+    if t < 2.0:
+        return "no border state at these parameters (t = %.6g < 2)" % t
+    x_prime = math.sqrt(0.5 * (t + math.sqrt(t * t - 4.0)))
+    if x_prime == math.inf:
+        return _OVERFLOW
+    if label == "II":
+        low = max(math.sqrt(gamma_a / gamma_b), math.sqrt(gamma_b / gamma_a))
+        if x_prime <= low:
+            return "type II x' range violation"
+    return x_prime
+
+
 def border_x_prime(label: str, gamma_a: float, gamma_b: float, shape: float) -> float:
     """The derived squeeze x' putting (gamma_a, gamma_b, shape) on the border.
 
@@ -135,94 +180,83 @@ def border_x_prime(label: str, gamma_a: float, gamma_b: float, shape: float) -> 
             squeeze/rotation.
 
     Raises:
-        NumericalGuardError: t < 2 (no border state at these parameters)
-            or the type II admissibility range is violated.
+        NumericalGuardError: t < 2 (no border state at these parameters),
+            the type II admissibility range is violated, or a parameter
+            overflows double precision.
     """
     if label not in ("I", "II"):
         raise ValidationError("x' is defined for types I and II only")
     if min(gamma_a, gamma_b) <= 0.5:
         raise ValidationError("border gammas must exceed 1/2")
-    lhs = (2.0 * gamma_a**2 - 0.5) * (2.0 * gamma_b**2 - 0.5)
-    strength = math.sinh(2.0 * shape) ** 2 if label == "I" else math.sin(2.0 * shape) ** 2
-    if strength < 1e-300:
-        raise NumericalGuardError("degenerate shape parameter: x' out of domain")
-    cross = gamma_a**2 + gamma_b**2
-    if label == "I":
-        t = (lhs / strength - cross) / (gamma_a * gamma_b)
-    else:
-        t = (lhs / strength + cross) / (gamma_a * gamma_b)
-    if t < 2.0:
-        raise NumericalGuardError(
-            "no border state at these parameters (t = %.6g < 2)" % t
-        )
-    x_prime = math.sqrt(0.5 * (t + math.sqrt(t * t - 4.0)))
-    if label == "II":
-        low = max(math.sqrt(gamma_a / gamma_b), math.sqrt(gamma_b / gamma_a))
-        if x_prime <= low:
-            raise NumericalGuardError("type II x' range violation")
+    x_prime = _x_prime(label, gamma_a, gamma_b, shape)
+    if isinstance(x_prime, str):
+        raise NumericalGuardError(x_prime)
     return x_prime
 
 
-def _border_blocks(params: BorderParams) -> Tuple[float, float, float, float, float, float]:
-    """The q and p blocks (a1, a2, a3, b1, b2, b3) of a border EM, whose
-    q-p cross block vanishes in every family."""
-    ga, gb = params.gamma_a, params.gamma_b
-    if min(ga, gb) <= 0.5 + PURITY_EPS:
-        raise NumericalGuardError("border gamma too close to 1/2")
-    if not math.isfinite(params.shape):
-        raise ValidationError("shape parameter must be finite")
+def _family_blocks(label: str, ga: float, gb: float, shape: float, x_prime: float):
+    """The six q and p blocks (a1, a2, a3, b1, b2, b3) of border_em's EM,
+    whose q-p cross block vanishes in every family, as floats, or as a
+    str the reason the family point has no EM.  The label, a finite
+    shape (a type III kind of 1 or 2) and a positive x_prime for types
+    I/II are the caller's to check."""
+    if (gb if gb < ga else ga) <= 0.5 + PURITY_EPS:
+        return "border gamma too close to 1/2"
     mta, mtb = float(em_spectrum(ga)), float(em_spectrum(gb))
-
-    if params.label in ("I", "II"):
-        x = params.x_prime
-        if not x > 0:
-            raise ValidationError("x_prime must be precomputed for types I/II")
-        # X Mtilde X is diagonal; G^T (.) G mixes it within each block
-        d0, d1, d2, d3 = x * mta, mtb / x, mta / x, x * mtb
-        if params.label == "I":
-            ch, sh = math.cosh(params.shape), math.sinh(params.shape)
-            return (
-                ch * ch * d0 + sh * sh * d1,
-                ch * sh * (d0 + d1),
-                sh * sh * d0 + ch * ch * d1,
-                ch * ch * d2 + sh * sh * d3,
-                -ch * sh * (d2 + d3),
-                sh * sh * d2 + ch * ch * d3,
-            )
-        c, s = math.cos(params.shape), math.sin(params.shape)
-        return (
-            c * c * d0 + s * s * d1,
-            c * s * (d0 - d1),
-            s * s * d0 + c * c * d1,
-            c * c * d2 + s * s * d3,
-            c * s * (d2 - d3),
-            s * s * d2 + c * c * d3,
-        )
-    if params.label == "III":
-        delta = (ga**2 - 0.25) * (gb**2 - 0.25)
-        if int(params.shape) == 1:
-            s_q = (
-                (1.0 + delta / ga**2) ** 0.25,
-                0.0,
-                (delta**2 / (ga**2 * (gb**2 + delta))) ** 0.25,
-                (gb**2 / (gb**2 + delta)) ** 0.25,
-            )
-        elif int(params.shape) == 2:
-            s_q = (
-                (ga**2 / (ga**2 + delta)) ** 0.25,
-                (delta**2 / (gb**2 * (ga**2 + delta))) ** 0.25,
-                0.0,
-                (1.0 + delta / gb**2) ** 0.25,
-            )
+    try:
+        if label == "I" or label == "II":
+            x = x_prime
+            # X Mtilde X is diagonal; G^T (.) G mixes it within each block
+            d0, d1, d2, d3 = x * mta, mtb / x, mta / x, x * mtb
+            if label == "I":
+                ch, sh = math.cosh(shape), math.sinh(shape)
+                blocks = (
+                    ch * ch * d0 + sh * sh * d1,
+                    ch * sh * (d0 + d1),
+                    sh * sh * d0 + ch * ch * d1,
+                    ch * ch * d2 + sh * sh * d3,
+                    -ch * sh * (d2 + d3),
+                    sh * sh * d2 + ch * ch * d3,
+                )
+            else:
+                c, s = math.cos(shape), math.sin(shape)
+                blocks = (
+                    c * c * d0 + s * s * d1,
+                    c * s * (d0 - d1),
+                    s * s * d0 + c * c * d1,
+                    c * c * d2 + s * s * d3,
+                    c * s * (d2 - d3),
+                    s * s * d2 + c * c * d3,
+                )
+        elif label == "III":
+            delta = (ga**2 - 0.25) * (gb**2 - 0.25)
+            if int(shape) == 1:
+                s_q = (
+                    (1.0 + delta / ga**2) ** 0.25,
+                    0.0,
+                    (delta**2 / (ga**2 * (gb**2 + delta))) ** 0.25,
+                    (gb**2 / (gb**2 + delta)) ** 0.25,
+                )
+            else:
+                s_q = (
+                    (ga**2 / (ga**2 + delta)) ** 0.25,
+                    (delta**2 / (gb**2 * (ga**2 + delta))) ** 0.25,
+                    0.0,
+                    (1.0 + delta / gb**2) ** 0.25,
+                )
+            blocks = _congruence_blocks(*s_q, mta, mtb)
         else:
-            raise ValidationError("type III kind must be 1 or 2")
-        return _congruence_blocks(*s_q, mta, mtb)
-    if params.label == "IV":
-        s1 = (4.0 * ga**2 * (4.0 * gb**2 + 1.0) / (4.0 * ga**2 + 1.0)) ** 0.25
-        s2 = ((4.0 * gb**2 + 1.0) / (4.0 * gb**2 * (4.0 * ga**2 + 1.0))) ** 0.25
-        w = 1.0 / math.sqrt(2.0)
-        return _congruence_blocks(s1 * w, s2 * w, s1 * w, -s2 * w, mta, mtb)
-    raise ValidationError("unknown border type %r" % (params.label,))
+            s1 = (4.0 * ga**2 * (4.0 * gb**2 + 1.0) / (4.0 * ga**2 + 1.0)) ** 0.25
+            s2 = ((4.0 * gb**2 + 1.0) / (4.0 * gb**2 * (4.0 * ga**2 + 1.0))) ** 0.25
+            w = 1.0 / math.sqrt(2.0)
+            blocks = _congruence_blocks(s1 * w, s2 * w, s1 * w, -s2 * w, mta, mtb)
+    except OverflowError:
+        return _OVERFLOW
+    # the diagonals are sums of non-negative terms that bound the
+    # off-diagonals, so an inf or NaN anywhere shows in their sum
+    if not blocks[0] + blocks[2] + blocks[3] + blocks[5] < math.inf:
+        return _OVERFLOW
+    return blocks
 
 
 def border_em(params: BorderParams) -> np.ndarray:
@@ -239,15 +273,37 @@ def border_em(params: BorderParams) -> np.ndarray:
     Returns:
         Symmetric positive-definite 4x4 EM whose state lies on the
         separable border.
+
+    Raises:
+        ValidationError: an unknown label, a shape that is not finite,
+            a type III kind other than 1 or 2, or a missing x' for types
+            I/II.
+        NumericalGuardError: a gamma within PURITY_EPS of 1/2, or a
+            parameter that overflows double precision.
     """
-    return _qp_block_matrix(*_border_blocks(params))
+    label, ga, gb, shape, x_prime = params
+    if label not in _TYPE_ORDER:
+        raise ValidationError("unknown border type %r" % (label,))
+    if not math.isfinite(shape):
+        raise ValidationError("shape parameter must be finite")
+    if label in ("I", "II") and not x_prime > 0:
+        raise ValidationError("x_prime must be precomputed for types I/II")
+    if label == "III" and int(shape) not in (1, 2):
+        raise ValidationError("type III kind must be 1 or 2")
+    blocks = _family_blocks(label, ga, gb, shape, x_prime)
+    if isinstance(blocks, str):
+        raise NumericalGuardError(blocks)
+    return _qp_block_matrix(*blocks)
 
 
-def _strip_blocks(
-    a1: float, a2: float, a3: float, b1: float, b2: float, b3: float
-) -> Tuple[float, float, float, float]:
-    if min(a1, a3, b1, b3) <= 0:
-        raise NumericalGuardError("EM diagonal is not positive")
+def _strip_blocks(a1: float, a2: float, a3: float, b1: float, b2: float, b3: float):
+    """xy_strip's (M1, Ms2, M3, Ms4) from the six blocks, or as a str the
+    reason there is none."""
+    # min(a1, a3, b1, b3), with the builtin's result on NaN
+    low = a3 if a3 < a1 else a1
+    low = b1 if b1 < low else low
+    if (b3 if b3 < low else low) <= 0:
+        return "EM diagonal is not positive"
     y0 = (a1 * a3 / (b1 * b3)) ** 0.25
     return math.sqrt(a1 * b1), a2 / y0, math.sqrt(a3 * b3), b2 * y0
 
@@ -261,6 +317,9 @@ def xy_strip(m: np.ndarray) -> Tuple[float, float, float, float]:
 
     Args:
         m: symmetric 4x4 EM with vanishing q-p cross block.
+
+    Raises:
+        NumericalGuardError: a diagonal entry is not positive.
     """
     m = np.asarray(m, dtype=float)
     scale = max(1.0, float(np.max(np.abs(m))))
@@ -268,7 +327,10 @@ def xy_strip(m: np.ndarray) -> Tuple[float, float, float, float]:
         raise ValidationError("expected a symmetric 4x4 EM")
     if float(np.max(np.abs(m[:2, 2:]))) > 1e-10 * scale:
         raise ValidationError("EM has q-p correlations; strip is undefined")
-    return _strip_blocks(m[0, 0], m[0, 1], m[1, 1], m[2, 2], m[2, 3], m[3, 3])
+    strip = _strip_blocks(m[0, 0], m[0, 1], m[1, 1], m[2, 2], m[2, 3], m[3, 3])
+    if isinstance(strip, str):
+        raise NumericalGuardError(strip)
+    return strip
 
 
 def fold_cross_terms(ms2: float, ms4: float) -> Tuple[float, float]:
@@ -297,10 +359,12 @@ def minimize(
     the reflected value beats the worst vertex, inside otherwise) and
     shrink 1/2 towards the best vertex; the centroid of the N best
     vertices is summed in rank order.  Vertices are ranked by Python's
-    stable sort, so vertices of equal value keep their order and a tie
-    resolves the same way on every machine.  The search stops once
-    every vertex lies within xatol of the best in every coordinate and
-    within fatol of it in value, or once nit reaches maxiter.
+    stable sort (a step that replaces only the worst vertex inserts the
+    new one where that sort would put it), so vertices of equal value
+    keep their order and a tie resolves the same way on every machine.
+    The search stops once every vertex lies within xatol of the best in
+    every coordinate and within fatol of it in value, or once nit
+    reaches maxiter.
 
     Args:
         fun: objective on a tuple of floats; +inf marks points outside
@@ -319,44 +383,51 @@ def minimize(
     nit = 1
     while nit < maxiter:
         f_best, best = verts[0]
-        if all(abs(c - b) <= xatol for _, v in verts[1:] for c, b in zip(v, best)) and all(
-            abs(f_best - f) <= fatol for f, _ in verts[1:]
+        f_worst, worst = verts[-1]
+        # the vertices are sorted, so every value lies within fatol of the
+        # best exactly when the worst does
+        if abs(f_best - f_worst) <= fatol and all(
+            abs(c - b) <= xatol for _, v in verts[1:] for c, b in zip(v, best)
         ):
             break
+        # coordinate-wise maps over operator functions: per coordinate
+        # (best + v1) + v2 ... then / n, 2c - w and so on, the same float
+        # operations in the same order as the written-out expressions
         centroid = best
         for _, v in verts[1:n]:
-            centroid = [c + d for c, d in zip(centroid, v)]
-        centroid = [c / n for c in centroid]
-        f_worst, worst = verts[-1]
-        xr = tuple([2.0 * c - w for c, w in zip(centroid, worst)])
+            centroid = map(add, centroid, v)
+        centroid = list(map(truediv, centroid, repeat(n)))
+        xr = tuple(map(sub, map(_TWICE, centroid), worst))
         fxr = fun(xr)
-        shrink = False
+        replacement = None
         if fxr < f_best:
-            xe = tuple([3.0 * c - 2.0 * w for c, w in zip(centroid, worst)])
+            xe = tuple(map(sub, map(_THRICE, centroid), map(_TWICE, worst)))
             fxe = fun(xe)
-            verts[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+            replacement = (fxe, xe) if fxe < fxr else (fxr, xr)
         elif fxr < verts[-2][0]:
-            verts[-1] = (fxr, xr)
+            replacement = (fxr, xr)
         elif fxr < f_worst:
-            xc = tuple([1.5 * c - 0.5 * w for c, w in zip(centroid, worst)])
+            xc = tuple(map(sub, map(_THREE_HALVES, centroid), map(_HALF, worst)))
             fxc = fun(xc)
             if fxc <= fxr:
-                verts[-1] = (fxc, xc)
-            else:
-                shrink = True
+                replacement = (fxc, xc)
         else:
-            xcc = tuple([0.5 * c + 0.5 * w for c, w in zip(centroid, worst)])
+            xcc = tuple(map(add, map(_HALF, centroid), map(_HALF, worst)))
             fxcc = fun(xcc)
             if fxcc < f_worst:
-                verts[-1] = (fxcc, xcc)
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                v = tuple([b + 0.5 * (c - b) for c, b in zip(verts[j][1], best)])
-                verts[j] = (fun(v), v)
+                replacement = (fxcc, xcc)
         nit += 1
-        verts.sort(key=_VALUE)
+        if replacement is None:
+            # shrink towards the best vertex: b + (c - b) / 2 per coordinate
+            for j in range(1, n + 1):
+                v = tuple(map(add, best, map(_HALF, map(sub, verts[j][1], best))))
+                verts[j] = (fun(v), v)
+            verts.sort(key=_VALUE)
+        else:
+            # the other vertices stay sorted: the new one goes where a
+            # stable sort puts it, after every vertex of no greater value
+            del verts[-1]
+            insort(verts, replacement, key=_VALUE)
     f_best, best = verts[0]
     return SimplexResult(x=best, fun=f_best, nit=nit)
 
@@ -364,10 +435,19 @@ def minimize(
 def _inner_core(
     a1: float, a2: float, a3: float, a4: float,
     m1: float, m2: float, m3: float, m4: float,
-) -> Tuple[float, float, float]:
+):
     """Float core of inner_minimize: the minimizing x and the trace
-    factors P and Q there."""
-    if min(a1, a3) <= 0 or min(m1, m3) <= 0:
+    factors P and Q there, or as a str the reason (a trace factor that
+    is non-positive on the bracket) there is no minimum.
+
+    Raises:
+        ValidationError: non-positive diagonal parameters, or alpha
+            without the standard-form signs.
+    """
+    sqrt = math.sqrt
+    # conditional expressions stand in for min and max, with the same
+    # result on NaN and inf: min(a, b) is b only when b < a
+    if (a3 if a3 < a1 else a1) <= 0 or (m3 if m3 < m1 else m1) <= 0:
         raise ValidationError("diagonal parameters must be positive")
     if not (a2 > 0 > a4):
         raise ValidationError("expected the standard-form signs alpha2 > 0 > alpha4")
@@ -378,22 +458,29 @@ def _inner_core(
 
     # P and Q are convex in x: each is smallest at its vertex, clipped
     # to the bracket
-    x_p = min(max(math.sqrt(q_c / p_c), _X_LO), _X_HI)
-    x_q = min(max(math.sqrt(p_c / q_c), _X_LO), _X_HI)
+    x_p = sqrt(q_c / p_c)
+    x_p = _X_LO if _X_LO > x_p else x_p
+    x_p = _X_HI if _X_HI < x_p else x_p
+    x_q = sqrt(p_c / q_c)
+    x_q = _X_LO if _X_LO > x_q else x_q
+    x_q = _X_HI if _X_HI < x_q else x_q
     if p_c * x_p + q_c / x_p + s_c <= 0.0 or p_c / x_q + q_c * x_q + t_c <= 0.0:
-        raise NumericalGuardError("trace factor non-positive on the x bracket")
+        return "trace factor non-positive on the x bracket"
 
     pq2 = 2.0 * p_c * q_c
     k = 0.5 * (p_c + q_c) * (s_c + t_c)
     h = 0.5 * (p_c - q_c) * (t_c - s_c)
     # |k z / sqrt(z^2 + 4)| < |k| confines every root to [z_min, z_max]
-    z_min = max(_Z_LO, (-h - abs(k)) / pq2)
-    z_max = min(_Z_HI, (-h + abs(k)) / pq2)
+    z_min = (-h - abs(k)) / pq2
+    z_min = z_min if z_min > _Z_LO else _Z_LO
+    z_max = (-h + abs(k)) / pq2
+    z_max = z_max if z_max < _Z_HI else _Z_HI
     if pq2 + 0.5 * k >= 0.0:
         stretches = ((z_min, z_max),)
     else:
-        z_c = math.sqrt((-4.0 * k / pq2) ** (2.0 / 3.0) - 4.0)
-        stretches = ((z_min, min(z_max, -z_c)), (max(z_min, z_c), z_max))
+        z_c = sqrt((-4.0 * k / pq2) ** (2.0 / 3.0) - 4.0)
+        stretches = ((z_min, -z_c if -z_c < z_max else z_max),
+                     (z_c if z_c > z_min else z_min, z_max))
 
     x_opt = _X_LO
     p_opt, q_opt = p_c * _X_LO + q_c / _X_LO + s_c, p_c / _X_LO + q_c * _X_LO + t_c
@@ -401,22 +488,23 @@ def _inner_core(
     for a, b in stretches:
         if not (
             a < b
-            and pq2 * a + k * a / math.sqrt(a * a + 4.0) + h < 0.0
-            < pq2 * b + k * b / math.sqrt(b * b + 4.0) + h
+            and pq2 * a + k * a / sqrt(a * a + 4.0) + h < 0.0
+            < pq2 * b + k * b / sqrt(b * b + 4.0) + h
         ):
             continue
         # g(z) = 2pq z + k z / sqrt(z^2 + 4) + h increases from g(a) < 0
         # to g(b) > 0: Newton steps, bisecting whenever one leaves [a, b]
         z = 0.5 * (a + b)
         for _ in range(200):
-            gz = pq2 * z + k * z / math.sqrt(z * z + 4.0) + h
+            zz4 = z * z + 4.0
+            gz = pq2 * z + k * z / sqrt(zz4) + h
             if gz == 0.0:
                 break
             if gz < 0.0:
                 a = z
             else:
                 b = z
-            slope = pq2 + 4.0 * k / (z * z + 4.0) ** 1.5
+            slope = pq2 + 4.0 * k / zz4 ** 1.5
             step = gz / slope if slope > 0.0 else math.inf
             z_new = z - step
             if not a < z_new < b:
@@ -427,7 +515,7 @@ def _inner_core(
                 z = z_new
                 break
             z = z_new
-        w = math.sqrt(z * z + 4.0)
+        w = sqrt(z * z + 4.0)
         candidates.append(0.5 * (z + w) if z >= 0.0 else 2.0 / (w - z))
     # strict <: of equal products the first candidate wins
     for x in candidates:
@@ -468,7 +556,10 @@ def inner_minimize(
     """
     a1, a2, a3, a4 = (float(v) for v in alpha_sf)
     m1, m2, m3, m4 = (float(v) for v in m_std)
-    x_opt, p, q = _inner_core(a1, a2, a3, a4, m1, m2, m3, m4)
+    core = _inner_core(a1, a2, a3, a4, m1, m2, m3, m4)
+    if isinstance(core, str):
+        raise NumericalGuardError(core)
+    x_opt, p, q = core
     return InnerMinState(
         alpha_sf=(a1, a2, a3, a4),
         m_std=(m1, m2, m3, m4),
@@ -495,6 +586,61 @@ def _self_term(gammas_rho: np.ndarray) -> float:
 
 def _neg_log_c(gamma_a: float, gamma_b: float) -> float:
     return 0.5 * (math.log(gamma_a**2 - 0.25) + math.log(gamma_b**2 - 0.25))
+
+
+def _infeasible(tally: list) -> float:
+    """Count an infeasible family point and score it inf."""
+    tally[1] += 1
+    return math.inf
+
+
+def _family_objective(
+    tally: list, alpha: Tuple[float, float, float, float], self_term: float,
+    label: str, fixed_shape: Optional[float], v: Tuple[float, ...],
+) -> float:
+    """The border-search objective of one family, on plain floats.
+
+    v is (u_A, u_B), or (u_A, u_B, shape) when the family has no
+    fixed_shape; the point is gamma = 1/2 + e^u for both modes (|u| <= 30,
+    gap at least PURITY_FLOOR_GAP), and types I/II derive x' (at most
+    X_PRIME_CAP).  Its border EM's blocks are stripped and folded, and
+    the value is S(rho||sigma) = self_term - log c + the inner minimum of
+    (1/2) Tr(alpha M) against rho's standard-form parameters alpha: the
+    composition of border_x_prime, border_em, xy_strip, fold_cross_terms
+    and inner_minimize, with inf where the point is outside the search
+    domain or one of them has no result.  tally counts the calls and the
+    inf values; gree binds all but v with functools.partial.
+    """
+    tally[0] += 1
+    ua, ub = v[0], v[1]
+    if abs(ua) > 30.0 or abs(ub) > 30.0:
+        return _infeasible(tally)
+    gap_a, gap_b = math.exp(ua), math.exp(ub)
+    if (gap_b if gap_b < gap_a else gap_a) < PURITY_FLOOR_GAP:
+        return _infeasible(tally)
+    ga, gb = 0.5 + gap_a, 0.5 + gap_b
+    shape = v[2] if fixed_shape is None else fixed_shape
+    x_prime = 1.0
+    if label == "I" or label == "II":
+        x_prime = _x_prime(label, ga, gb, shape)
+        if isinstance(x_prime, str) or x_prime > X_PRIME_CAP:
+            return _infeasible(tally)
+    blocks = _family_blocks(label, ga, gb, shape, x_prime)
+    if isinstance(blocks, str):
+        return _infeasible(tally)
+    strip = _strip_blocks(*blocks)
+    if isinstance(strip, str):
+        return _infeasible(tally)
+    m1, ms2, m3, ms4 = strip
+    m2, m4 = fold_cross_terms(ms2, ms4)
+    core = _inner_core(*alpha, m1, m2, m3, m4)
+    if isinstance(core, str):
+        return _infeasible(tally)
+    _, p, q = core
+    value = self_term + _neg_log_c(ga, gb) + math.sqrt(p * q)
+    if value == math.inf:
+        tally[1] += 1
+    return value
 
 
 def _multistart(
@@ -611,37 +757,6 @@ def gree(
     alpha_params = (float(sf.a), float(sf.c1), float(sf.b), -float(sf.c2))
     self_term = _self_term(gammas_rho)
 
-    def border_point(label, shape, ua, ub):
-        """The family point at log gaps (ua, ub), or None outside the
-        search domain; raises where no border state exists."""
-        if abs(ua) > 30.0 or abs(ub) > 30.0:
-            return None
-        gap_a, gap_b = math.exp(ua), math.exp(ub)
-        if min(gap_a, gap_b) < PURITY_FLOOR_GAP:
-            return None
-        ga, gb = 0.5 + gap_a, 0.5 + gap_b
-        if label in ("I", "II"):
-            x_prime = border_x_prime(label, ga, gb, shape)
-            if x_prime > X_PRIME_CAP:
-                return None
-            return BorderParams(label, ga, gb, float(shape), x_prime)
-        return BorderParams(label, ga, gb, float(shape), 1.0)
-
-    def folded_em(params):
-        m1, ms2, m3, ms4 = _strip_blocks(*_border_blocks(params))
-        m2, m4 = fold_cross_terms(ms2, ms4)
-        return m1, m2, m3, m4
-
-    def objective(label, shape, ua, ub):
-        try:
-            params = border_point(label, shape, ua, ub)
-            if params is None:
-                return math.inf
-            _, p, q = _inner_core(*alpha_params, *folded_em(params))
-        except (NumericalGuardError, ValidationError):
-            return math.inf
-        return self_term + _neg_log_c(params.gamma_a, params.gamma_b) + math.sqrt(p * q)
-
     u_anchor = [math.log(max(g - 0.5, 1e-4)) for g in gammas_rho]
     u_grid = [-2.3, -0.7, 0.3, 1.2]
     shape_grid = [0.15, 0.4, 0.8, 1.3]
@@ -662,14 +777,7 @@ def gree(
         with_shape = fixed_shape is None
         key = label if label != "III" else "III_%d" % int(fixed_shape)
         tally = [0, 0]  # objective calls, and how many returned inf
-
-        def fun(v, label=label, fixed=fixed_shape, tally=tally):
-            value = objective(label, v[2] if fixed is None else fixed, v[0], v[1])
-            tally[0] += 1
-            if value == math.inf:
-                tally[1] += 1
-            return value
-
+        fun = partial(_family_objective, tally, alpha_params, self_term, label, fixed_shape)
         pool = []
         for ua in u_anchor[:1] + u_grid:
             for ub in u_anchor[1:] + u_grid:
@@ -682,9 +790,15 @@ def gree(
         evaluations[key] = {"calls": tally[0], "inf": tally[1]}
         per_type[key] = best
         if math.isfinite(best):
-            # the inner minimum at the best point, whose value is `best`
-            params = border_point(label, v[2] if with_shape else fixed_shape, v[0], v[1])
-            found[key] = best, params, inner_minimize(alpha_params, folded_em(params))
+            # the best point through the public functions, whose
+            # composition is the objective's: its value is `best`
+            shape = v[2] if with_shape else fixed_shape
+            ga, gb = 0.5 + math.exp(v[0]), 0.5 + math.exp(v[1])
+            x_prime = border_x_prime(label, ga, gb, shape) if with_shape else 1.0
+            params = BorderParams(label, ga, gb, shape, x_prime)
+            m1, ms2, m3, ms4 = xy_strip(border_em(params))
+            m2, m4 = fold_cross_terms(ms2, ms4)
+            found[key] = best, params, inner_minimize(alpha_params, (m1, m2, m3, m4))
 
     if "III" in selected:
         per_type["III"] = min(per_type.pop("III_1"), per_type.pop("III_2"))

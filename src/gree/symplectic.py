@@ -202,15 +202,15 @@ def _check_symmetric(alpha: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (alpha + alpha.T)
 
 
-def _hermitian_form(alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alpha, B, H) with B = alpha^(1/2) and the Hermitian H = i B Delta B,
-    whose eigenvalues are +-gamma_j (H is similar to i Delta alpha)."""
-    alpha = _check_symmetric(alpha)
+def _hermitian_form(alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(B, H) with B = alpha^(1/2) and the Hermitian H = i B Delta B, whose
+    eigenvalues are +-gamma_j (H is similar to i Delta alpha), for a
+    symmetric float alpha of even dimension; the callers check that."""
     w, v = np.linalg.eigh(alpha)
     if w[0] <= 0:
         raise NumericalGuardError("matrix is not positive definite")
     b = v * np.sqrt(w) @ v.T
-    return alpha, b, 1j * (b @ symplectic_form(alpha.shape[0] // 2) @ b)
+    return b, 1j * (b @ symplectic_form(alpha.shape[0] // 2) @ b)
 
 
 def _positive_half(lam: np.ndarray) -> np.ndarray:
@@ -222,6 +222,12 @@ def _positive_half(lam: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _symplectic_spectrum(alpha: np.ndarray) -> np.ndarray:
+    """symplectic_eigenvalues of an alpha already checked to be symmetric
+    (or symmetric by construction), with no second check."""
+    return _positive_half(np.linalg.eigvalsh(_hermitian_form(alpha)[1]))
+
+
 def symplectic_eigenvalues(alpha: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues gamma_j of alpha, descending: the positive half
     of the spectrum of H = i alpha^(1/2) Delta alpha^(1/2), the one Hermitian
@@ -231,10 +237,11 @@ def symplectic_eigenvalues(alpha: np.ndarray) -> np.ndarray:
         alpha: real symmetric positive-definite 2n x 2n matrix.
 
     Raises:
+        ValidationError: alpha is not a symmetric even-dimension matrix.
         NumericalGuardError: alpha is not positive definite, or H's spectrum
             does not form +-gamma pairs within PAIRING_RTOL.
     """
-    return _positive_half(np.linalg.eigvalsh(_hermitian_form(alpha)[2]))
+    return _symplectic_spectrum(_check_symmetric(alpha))
 
 
 def _frame(s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -260,7 +267,8 @@ def williamson(alpha: np.ndarray) -> WilliamsonResult:
         WilliamsonResult with S symplectic and gammas descending; S is
         checked to be symplectic and to reconstruct alpha, both to 1e-8.
     """
-    alpha, b, h = _hermitian_form(alpha)
+    alpha = _check_symmetric(alpha)
+    b, h = _hermitian_form(alpha)
     n = alpha.shape[0] // 2
     lam, z = np.linalg.eigh(h)
     gammas = _positive_half(lam)

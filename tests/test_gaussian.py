@@ -20,21 +20,25 @@ from gree import (
     check_physical,
     classify,
     cm_to_em,
+    descend,
     elementary_transform,
     em_to_cm,
     gamma_of_em_spectrum,
     is_separable,
     normalization_log_c,
     random_cm,
+    relative_entropy,
     standard_cm,
     standard_form,
     symmetric_cm,
     symmetric_em,
     symmetric_gammas,
+    symplectic_eigenvalues,
     symplectic_form,
     tmst_cm,
     tmsv_cm,
     von_neumann_entropy,
+    williamson,
 )
 from gree.gaussian import _ppt_verdict, bosonic_entropy_sum
 from conftest import eigensolver_ppt_verdict, thermal_cm
@@ -290,6 +294,33 @@ def test_bosonic_entropy_sum_matches_the_scalar_entropy():
         assert abs(bosonic_entropy_sum(x) - expect) <= 1e-12 * max(1.0, expect)
     assert bosonic_entropy_sum(np.array([-0.1, 0.0])) == 0.0
     assert math.isnan(bosonic_entropy_sum(np.array([1.0, float("nan")])))
+
+
+def test_asymmetric_input_is_rejected_on_entry():
+    # the symmetry check runs once per caller-supplied matrix, wherever
+    # it enters: rho, sigma as a CM or an EM, or the descent's start
+    alpha = tmst_cm(1.4, 0.6)
+    sigma = thermal_cm(1.2, 0.9)
+    skewed = alpha.copy()
+    skewed[0, 1] += 1e-6
+    skewed_sigma = sigma.copy()
+    skewed_sigma[1, 2] += 1e-6
+    skewed_em = cm_to_em(sigma)
+    skewed_em[1, 2] += 1e-6
+    calls = [
+        lambda: check_physical(skewed),
+        lambda: symplectic_eigenvalues(skewed),
+        lambda: williamson(skewed),
+        lambda: is_separable(skewed),
+        lambda: relative_entropy(skewed, sigma),
+        lambda: relative_entropy(alpha, skewed_sigma),
+        lambda: relative_entropy(alpha, skewed_em, sigma_kind="em"),
+        lambda: descend(skewed, cm_to_em(sigma)),
+        lambda: descend(alpha, skewed_em),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="not symmetric"):
+            call()
 
 
 def test_ppt_verdict_matches_is_separable_on_random_draws():

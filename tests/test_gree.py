@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from gree import (
     is_separable,
     relative_entropy,
     standard_cm,
+    standard_form,
     symmetric_cm,
     tmst_cm,
     tmsv_cm,
@@ -114,6 +116,14 @@ def test_border_em_sits_on_the_border(params):
 def test_border_em_rejects_near_pure_gammas():
     with pytest.raises(NumericalGuardError):
         border_em(BorderParams("IV", 0.5, 0.9, 0.0, 1.0))
+
+
+def test_border_functions_report_overflow():
+    # sinh(800) overflows a float; cosh(400)^2 overflows every block
+    with pytest.raises(NumericalGuardError, match="overflow"):
+        border_x_prime("I", 1.0, 1.2, 400.0)
+    with pytest.raises(NumericalGuardError, match="overflow"):
+        border_em(BorderParams("I", 1.0, 1.2, 400.0, 2.0))
 
 
 def stationarity_roots(alpha_sf, m_std):
@@ -618,8 +628,11 @@ def test_inner_core_matches_the_closure_form_bitwise():
         reference = closure_inner_minimum(alpha_sf, m_std)
         args = tuple(float(v) for v in alpha_sf) + tuple(float(v) for v in m_std)
         if reference is None:
-            with pytest.raises(NumericalGuardError):
-                _inner_core(*args)
+            # the core returns the reason; the public wrapper raises it
+            reason = _inner_core(*args)
+            assert isinstance(reason, str)
+            with pytest.raises(NumericalGuardError, match=reason):
+                inner_minimize(alpha_sf, m_std)
             continue
         x_opt, p, q = _inner_core(*args)
         assert (x_opt, p, q) == reference
@@ -628,6 +641,121 @@ def test_inner_core_matches_the_closure_form_bitwise():
         assert state.x_opt == x_opt
         compared += 1
     assert compared >= 100
+
+
+def closure_objective(alpha_sf, self_term, label, shape, ua, ub):
+    """The family objective as the closures in gree() composed it before
+    the float helpers, kept as their reference: the search-domain checks,
+    then border_x_prime, border_em, xy_strip, fold_cross_terms and
+    inner_minimize plus the log c term, with every guard turned into inf."""
+    if abs(ua) > 30.0 or abs(ub) > 30.0:
+        return math.inf
+    gap_a, gap_b = math.exp(ua), math.exp(ub)
+    if min(gap_a, gap_b) < gree_module.PURITY_FLOOR_GAP:
+        return math.inf
+    ga, gb = 0.5 + gap_a, 0.5 + gap_b
+    try:
+        x_prime = 1.0
+        if label in ("I", "II"):
+            x_prime = border_x_prime(label, ga, gb, shape)
+            if x_prime > gree_module.X_PRIME_CAP:
+                return math.inf
+        m1, ms2, m3, ms4 = xy_strip(border_em(BorderParams(label, ga, gb, shape, x_prime)))
+        m2, m4 = fold_cross_terms(ms2, ms4)
+        inner = inner_minimize(alpha_sf, (m1, m2, m3, m4))
+    except (NumericalGuardError, ValidationError):
+        return math.inf
+    return self_term + gree_module._neg_log_c(ga, gb) + inner.half_trace
+
+
+# the five family searches of gree(): label and fixed shape (None: searched)
+FAMILY_SEARCHES = (("I", None), ("II", None), ("III", 1.0), ("III", 2.0), ("IV", 0.0))
+
+
+def objective_terms(name):
+    """rho's standard-form parameters and self term, as gree() binds them."""
+    cm = pinned_state(name)
+    sf = standard_form(cm)
+    alpha_sf = (float(sf.a), float(sf.c1), float(sf.b), -float(sf.c2))
+    return alpha_sf, gree_module._self_term(check_physical(cm))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "standard"])
+def test_family_objective_matches_the_public_composition_bitwise(name):
+    alpha_sf, self_term = objective_terms(name)
+    rng = np.random.default_rng(sorted(PINNED).index(name))
+    for label, fixed in FAMILY_SEARCHES:
+        tally = [0, 0]
+        fun = partial(gree_module._family_objective, tally, alpha_sf, self_term, label, fixed)
+        values = []
+        for _ in range(120):
+            ua, ub = rng.uniform(-5.0, 3.0, 2)
+            shape = rng.uniform(-0.6, 0.6) if label == "I" else rng.uniform(-0.2, 1.8)
+            shape = shape if fixed is None else fixed
+            v = (ua, ub, shape) if fixed is None else (ua, ub)
+            values.append(fun(v))
+            assert values[-1] == closure_objective(alpha_sf, self_term, label, shape, ua, ub)
+        assert tally == [120, values.count(math.inf)]
+        # type I meets t < 2 often here; every search has finite values
+        assert values.count(math.inf) <= 90
+
+
+def test_family_objective_is_inf_for_every_infeasibility_reason():
+    alpha_sf, self_term = objective_terms("fig1")
+    near_pure = math.log(0.1)
+    # reasons a search point can meet, with the public function's message
+    cases = [
+        ("I", (31.0, 0.0, 0.4), None),  # |u| > 30
+        ("II", (math.log(1e-8), 0.0, 0.4), None),  # the purity floor
+        ("I", (0.0, 0.0, 0.0), "degenerate shape"),
+        ("I", (near_pure, near_pure, 3.0), "t = "),  # t < 2
+        ("I", (0.0, 0.0, 1e-7), None),  # x' beyond X_PRIME_CAP
+    ]
+    for label, v, message in cases:
+        tally = [0, 0]
+        assert gree_module._family_objective(tally, alpha_sf, self_term, label, None, v) == math.inf
+        assert tally == [1, 1]
+        assert closure_objective(alpha_sf, self_term, label, v[-1], v[0], v[1]) == math.inf
+        ga, gb = 0.5 + math.exp(v[0]), 0.5 + math.exp(v[1])
+        if message is not None:
+            with pytest.raises(NumericalGuardError, match=message):
+                border_x_prime(label, ga, gb, v[2])
+    assert border_x_prime("I", 1.5, 1.5, 1e-7) > gree_module.X_PRIME_CAP
+    # a non-positive trace factor: an alpha2 large against the EM's M2
+    tally = [0, 0]
+    skewed = (alpha_sf[0], 50.0 * alpha_sf[1], alpha_sf[2], alpha_sf[3])
+    point = (0.0, 0.2, 0.5)
+    assert gree_module._family_objective(tally, skewed, self_term, "I", None, point) == math.inf
+    assert tally == [1, 1]
+    assert closure_objective(skewed, self_term, "I", 0.5, 0.0, 0.2) == math.inf
+    ga, gb = 0.5 + math.exp(0.0), 0.5 + math.exp(0.2)
+    params = BorderParams("I", ga, gb, 0.5, border_x_prime("I", ga, gb, 0.5))
+    m1, ms2, m3, ms4 = xy_strip(border_em(params))
+    m2, m4 = fold_cross_terms(ms2, ms4)
+    with pytest.raises(NumericalGuardError, match="trace factor"):
+        inner_minimize(skewed, (m1, m2, m3, m4))
+
+    # reasons no search point meets: the helper returns the message the
+    # public function raises
+    helper_cases = [
+        (gree_module._x_prime, ("II", 0.5 + 1e-9, 0.5 + 1e-9, math.pi / 4),
+         lambda: border_x_prime("II", 0.5 + 1e-9, 0.5 + 1e-9, math.pi / 4)),
+        (gree_module._x_prime, ("I", 1.0, 1.2, 400.0),
+         lambda: border_x_prime("I", 1.0, 1.2, 400.0)),
+        (gree_module._family_blocks, ("I", 1.0, 1.2, 400.0, 2.0),
+         lambda: border_em(BorderParams("I", 1.0, 1.2, 400.0, 2.0))),
+        (gree_module._family_blocks, ("IV", 0.5 + 1e-10, 0.9, 0.0, 1.0),
+         lambda: border_em(BorderParams("IV", 0.5 + 1e-10, 0.9, 0.0, 1.0))),
+        (gree_module._strip_blocks, (1.0, 0.1, -0.5, 1.0, 0.0, 1.0),
+         lambda: xy_strip(np.diag([1.0, -0.5, 1.0, 1.0]) + np.diag([0.1, 0.0, 0.0], 1)
+                          + np.diag([0.1, 0.0, 0.0], -1))),
+    ]
+    for helper, args, public in helper_cases:
+        reason = helper(*args)
+        assert isinstance(reason, str)
+        with pytest.raises(NumericalGuardError) as raised:
+            public()
+        assert str(raised.value) == reason
 
 
 def rosenbrock(v):
@@ -696,6 +824,107 @@ def test_minimize_breaks_ties_by_vertex_order():
 def test_minimize_rejects_a_malformed_simplex():
     with pytest.raises(ValidationError):
         minimize(rosenbrock, (0.0, 0.0), [(0.1, 0.0)], 1e-10, 1e-8, 600)
+
+
+def reference_minimize(fun, x0, simplex, fatol, xatol, maxiter):
+    """The Nelder-Mead loop before its bookkeeping was trimmed, kept as the
+    reference of minimize: the coordinate test first, the steps written
+    out per coordinate, and a full stable sort after every step."""
+    n = len(x0)
+    verts = [(fun(v), v) for v in [tuple(map(float, x0))] + [tuple(map(float, v)) for v in simplex]]
+    verts.sort(key=lambda fv: fv[0])
+    nit = 1
+    while nit < maxiter:
+        f_best, best = verts[0]
+        if all(abs(c - b) <= xatol for _, v in verts[1:] for c, b in zip(v, best)) and all(
+            abs(f_best - f) <= fatol for f, _ in verts[1:]
+        ):
+            break
+        centroid = best
+        for _, v in verts[1:n]:
+            centroid = [c + d for c, d in zip(centroid, v)]
+        centroid = [c / n for c in centroid]
+        f_worst, worst = verts[-1]
+        xr = tuple([2.0 * c - w for c, w in zip(centroid, worst)])
+        fxr = fun(xr)
+        shrink = False
+        if fxr < f_best:
+            xe = tuple([3.0 * c - 2.0 * w for c, w in zip(centroid, worst)])
+            fxe = fun(xe)
+            verts[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < verts[-2][0]:
+            verts[-1] = (fxr, xr)
+        elif fxr < f_worst:
+            xc = tuple([1.5 * c - 0.5 * w for c, w in zip(centroid, worst)])
+            fxc = fun(xc)
+            if fxc <= fxr:
+                verts[-1] = (fxc, xc)
+            else:
+                shrink = True
+        else:
+            xcc = tuple([0.5 * c + 0.5 * w for c, w in zip(centroid, worst)])
+            fxcc = fun(xcc)
+            if fxcc < f_worst:
+                verts[-1] = (fxcc, xcc)
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                v = tuple([b + 0.5 * (c - b) for c, b in zip(verts[j][1], best)])
+                verts[j] = (fun(v), v)
+        nit += 1
+        verts.sort(key=lambda fv: fv[0])
+    return verts[0][1], verts[0][0], nit
+
+
+def assert_same_simplex_path(fun, x0, simplex, fatol, xatol, maxiter=600):
+    """minimize and reference_minimize give the same result from the same
+    sequence of evaluated points."""
+    paths = ([], [])
+
+    def recording(path):
+        def f(v):
+            path.append(v)
+            return fun(v)
+        return f
+
+    got = minimize(recording(paths[0]), x0, simplex, fatol, xatol, maxiter)
+    ref = reference_minimize(recording(paths[1]), x0, simplex, fatol, xatol, maxiter)
+    assert (got.x, got.fun, got.nit) == ref
+    assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "standard"])
+def test_minimize_follows_the_reference_loop_on_family_objectives(monkeypatch, name):
+    runs = []
+    plain = gree_module.minimize
+
+    def recording(fun, x0, *args):
+        runs.append((fun, x0) + args)
+        return plain(fun, x0, *args)
+
+    monkeypatch.setattr(gree_module, "minimize", recording)
+    gree(pinned_state(name))
+    # each of the five family searches ran at least one simplex
+    assert {run[0].args[3:5] for run in runs} == set(FAMILY_SEARCHES)
+    for fun, x0, simplex, fatol, xatol, maxiter in runs:
+        assert_same_simplex_path(fun, x0, simplex, fatol, xatol, maxiter)
+
+
+def quantised_bowl(v):
+    """A bowl rounded down to multiples of 1/8, so vertices tie exactly."""
+    if v[0] > 1.7:
+        return math.inf
+    return math.floor(8.0 * sum((j + 1.0) * (c - 0.3) ** 2 for j, c in enumerate(v))) / 8.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_minimize_follows_the_reference_loop_through_ties(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(12):
+        x0 = tuple(rng.uniform(-2.0, 1.5, n))
+        simplex = [tuple(c + (0.4 if j == k else 0.0) for j, c in enumerate(x0)) for k in range(n)]
+        assert_same_simplex_path(quantised_bowl, x0, simplex, 1e-10, 1e-8)
 
 
 def test_multistart_caps_the_starts_at_the_pool(monkeypatch):
