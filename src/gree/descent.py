@@ -44,7 +44,7 @@ from .gaussian import (
     em_spectrum,
     normalization_log_c,
 )
-from .symplectic import _embed, _frame, _planes, symplectic_eigenvalues
+from .symplectic import _embed, _frame, _planes, _symplectic_spectrum, symplectic_eigenvalues
 
 # convergence and safety knobs for descend()
 MAX_ITERS = 10_000
@@ -123,6 +123,8 @@ def make_state(
     alpha_rho = np.asarray(alpha_rho, dtype=float)
     s_sigma = np.asarray(s_sigma, dtype=float)
     gammas_sigma = np.asarray(gammas_sigma, dtype=float)
+    if s_sigma.ndim != 2 or s_sigma.shape[0] != s_sigma.shape[1] or s_sigma.shape[0] % 2:
+        raise ValidationError("expected a square even-dimension matrix")
     if alpha_rho.shape != s_sigma.shape:
         raise ValidationError("mode-count mismatch between rho and sigma")
     if np.any(gammas_sigma <= 0.5):
@@ -132,7 +134,8 @@ def make_state(
     s_inv = np.linalg.inv(s_sigma)
     beta = s_inv @ alpha_rho @ s_inv.T
     beta = 0.5 * (beta + beta.T)
-    self_entropy = _self_entropy(beta)
+    # beta is symmetric by construction: its spectrum needs no check
+    self_entropy = bosonic_entropy_sum(_symplectic_spectrum(beta) - 0.5)
     objective = _general_objective(beta, gammas_sigma, self_entropy)
     return DescentState(
         s_sigma=s_sigma,
@@ -433,8 +436,10 @@ def _bisect_crossing(
 
 
 def _check_spectrum(state: DescentState, gammas_rho: np.ndarray) -> None:
-    """Guard: the congruences must have kept beta's symplectic spectrum."""
-    drift = float(np.max(np.abs(symplectic_eigenvalues(state.beta) - gammas_rho)))
+    """Guard: the congruences must have kept beta's symplectic spectrum.
+    descend's iterates come from make_state and _Walk, which both keep
+    beta symmetric, so its spectrum is read unchecked."""
+    drift = float(np.max(np.abs(_symplectic_spectrum(state.beta) - gammas_rho)))
     if drift > SPECTRUM_TOL * max(1.0, float(gammas_rho[0])):
         raise NumericalGuardError(
             "beta's symplectic spectrum drifted from rho's by %.3e" % drift

@@ -3,12 +3,17 @@
 GREE minimizes S(rho||sigma) over separable Gaussian sigma; the minimum is
 attained on the separable/inseparable border, which for two modes is
 covered by four families of border exponential matrices (types I-IV).
-The outer search runs over each family's two or three parameters; every
-candidate is completed by closed-form y-elimination and a 1-D search in
-the local squeeze x.  Symmetric states admit a two-variable objective and
-two-mode squeezed thermal states take it on its diagonal; both are
-provided as independent routes.  All three routes run one multistart
-simplex driver (`_multistart`) over a sorted seed pool.
+Types III and IV are faces of types I and II: after strip and fold, type
+III (either kind) is the r -> 0 face of type I and the theta -> 0 face of
+type II, and type IV is type II at theta = pi/4 (see `_family_blocks`).
+So `gree` searches types I and II by default, and types III and IV only
+when `families` names them.  The outer search runs over each family's
+two or three parameters; every candidate is completed by closed-form
+y-elimination and a 1-D search in the local squeeze x.  Symmetric states
+admit a two-variable objective and two-mode squeezed thermal states take
+it on its diagonal; both are provided as independent routes, which
+`gree` never takes itself.  All three routes run one multistart simplex
+driver (`_multistart`) over a sorted seed pool.
 
 The searches run on plain Python floats: a Nelder-Mead simplex in this
 module (`minimize`, scipy's non-adaptive method step for step) over one
@@ -199,7 +204,34 @@ def _family_blocks(label: str, ga: float, gb: float, shape: float, x_prime: floa
     whose q-p cross block vanishes in every family, as floats, or as a
     str the reason the family point has no EM.  The label, a finite
     shape (a type III kind of 1 or 2) and a positive x_prime for types
-    I/II are the caller's to check."""
+    I/II are the caller's to check.
+
+    Faces.  Strip and fold read the blocks only through M1^2 = a1 b1,
+    M3^2 = a3 b3, y0^4 = a1 a3 / (b1 b3), Ms2^2 = a2^2 / y0^2,
+    Ms4^2 = b2^2 y0^2 and the sign of a2 b2.  For types I and II put
+    A, B = Mtilde(gamma_A), Mtilde(gamma_B), c, s = cosh, sinh(r) (I) or
+    cos, sin(theta) (II), P = c^2 s^2 and t = x'^2 + x'^-2.  Then
+        a1 b1 = c^4 A^2 + s^4 B^2 + P t A B,
+        a3 b3 = s^4 A^2 + c^4 B^2 + P t A B,
+        a1 a3 = P x'^2 A^2 + (c^4 + s^4) A B + P B^2 / x'^2,
+        b1 b3 = P A^2 / x'^2 + (c^4 + s^4) A B + P x'^2 B^2,
+        a2^2 = P (x' A +- B / x')^2,  b2^2 = P (A / x' +- x' B)^2
+    (+ for I, - for II); a2 b2 < 0 in type I, and in type II once x'^2
+    exceeds both A / B and B / A.  The border equality reads
+    P t = K -+ P (gamma_A^2 + gamma_B^2) / (gamma_A gamma_B), with
+    K = (2 gamma_A^2 - 1/2)(2 gamma_B^2 - 1/2) / (4 gamma_A gamma_B).
+    As r -> 0 (I) or theta -> 0 (II), P -> 0 and
+    x' -> oo with P x'^2 -> K, so every product above tends, with an
+    error O(P) = O(r^2) or O(theta^2), to
+        M1^2 = A^2 + K A B,  M3^2 = B^2 + K A B,
+        y0^4 = (K A^2 + A B) / (A B + K B^2),
+        Ms2^2 = K A^2 / y0^2,  Ms4^2 = K B^2 y0^2,  Ms2 Ms4 < 0:
+    the folded M of type III, of either kind.  At theta = pi/4,
+    c = s, so a1 = a3 and b1 = b3, and the type II point with
+    t = (4 K gamma_A gamma_B + gamma_A^2 + gamma_B^2) / (gamma_A gamma_B)
+    folds to the type IV point.  So a type III or IV minimum is a limit
+    or a point of the type I and II searches, and lies below both of
+    theirs by roundoff at most."""
     if (gb if gb < ga else ga) <= 0.5 + PURITY_EPS:
         return "border gamma too close to 1/2"
     mta, mtb = float(em_spectrum(ga)), float(em_spectrum(gb))
@@ -714,11 +746,17 @@ def gree(
     """GREE of a two-mode Gaussian state by search over border families.
 
     Separable input returns 0 immediately.  Otherwise the state is put in
-    standard form and, for each family (I, II, III kind 1, III kind 2,
-    IV), simplex searches run over (gamma_A, gamma_B) plus the shape
-    variable where present, each candidate completed by the inner x/y
-    minimization.  The starts are the family's seed-grid points (100 for
-    types I and II, 25 for the others), best first; a family stops once
+    standard form and, for each selected family (I, II by default; III
+    kind 1, III kind 2 and IV on request), simplex searches run over
+    (gamma_A, gamma_B) plus the shape variable where present, each
+    candidate completed by the inner x/y minimization.  Types III and IV
+    are faces of types I and II: type III, either kind, is the r -> 0
+    face of type I and the theta -> 0 face of type II, and type IV is
+    type II at theta = pi/4 (derived at `_family_blocks`).  So they never
+    beat I and II by more than roundoff, and the tie rule below gives the
+    same result with or without them; name them in `families` for their
+    per-type minima.  The starts are the family's seed-grid points (100
+    for types I and II, 25 for the others), best first; a family stops once
     two starts reach the same lowest minimum within SEARCH_FATOL, after
     `starts` starts or the whole grid, or at once when even its best seed
     point is infeasible.  Family minima within TIE_TOL of the lowest count as
@@ -729,8 +767,8 @@ def gree(
     Args:
         alpha_rho: physical two-mode CM.
         starts: cap on the simplex starts per family search.
-        families: a sequence of labels to restrict the search to
-            (default all four); a bare string is rejected.
+        families: a sequence of labels to search (default ("I", "II"));
+            a bare string is rejected.
 
     Returns:
         GreeResult with the value in nats, the winning family, its
@@ -742,7 +780,7 @@ def gree(
     """
     alpha_rho = np.asarray(alpha_rho, dtype=float)
     if families is None:
-        selected = ("I", "II", "III", "IV")
+        selected = ("I", "II")
     else:
         selected = tuple(families)
         bad = set(selected) - set(_TYPE_ORDER)

@@ -31,6 +31,7 @@ from gree import (
     gree_tmst,
     inner_minimize,
     is_separable,
+    random_cm,
     relative_entropy,
     standard_cm,
     standard_form,
@@ -402,6 +403,70 @@ def test_closed_form_border_em_matches_transform_construction():
         built += 1
 
 
+def folded_m(label, gamma_a, gamma_b, shape):
+    """The folded (M1, M2, M3, M4) of a family point."""
+    x_prime = border_x_prime(label, gamma_a, gamma_b, shape) if label in ("I", "II") else 1.0
+    m1, ms2, m3, ms4 = xy_strip(border_em(BorderParams(label, gamma_a, gamma_b, shape, x_prime)))
+    m2, m4 = fold_cross_terms(ms2, ms4)
+    return np.array([m1, m2, m3, m4])
+
+
+def face_gammas(seed, count, split=0.0):
+    """Seeded gammas 1/2 + e^u, u in [-5, 3], whose log gaps differ by at
+    least split."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        ua, ub = rng.uniform(-5.0, 3.0, 2)
+        if abs(ua - ub) >= split:
+            pairs.append((0.5 + math.exp(ua), 0.5 + math.exp(ub)))
+    return pairs
+
+
+def type_iii_face(gamma_a, gamma_b):
+    """The r -> 0 limit of type I's folded M (and theta -> 0 of type II's),
+    as derived in gree.gree._family_blocks."""
+    a, b = em_spectrum(gamma_a), em_spectrum(gamma_b)
+    k = (2.0 * gamma_a**2 - 0.5) * (2.0 * gamma_b**2 - 0.5) / (4.0 * gamma_a * gamma_b)
+    y0 = ((k * a * a + a * b) / (a * b + k * b * b)) ** 0.25
+    m2, m4 = fold_cross_terms(math.sqrt(k) * a / y0, -math.sqrt(k) * b * y0)
+    return np.array([math.sqrt(a * a + k * a * b), m2, math.sqrt(b * b + k * a * b), m4])
+
+
+def relative_gap(m, reference):
+    return float(np.max(np.abs(m - reference) / np.abs(reference)))
+
+
+def test_type_iii_kinds_fold_to_the_same_m():
+    for gamma_a, gamma_b in face_gammas(5, 40):
+        kind_1 = folded_m("III", gamma_a, gamma_b, 1.0)
+        assert relative_gap(folded_m("III", gamma_a, gamma_b, 2.0), kind_1) <= 1e-13
+        assert relative_gap(type_iii_face(gamma_a, gamma_b), kind_1) <= 1e-13
+
+
+def test_type_iv_is_type_ii_at_a_quarter_turn():
+    for gamma_a, gamma_b in face_gammas(6, 40):
+        type_iv = folded_m("IV", gamma_a, gamma_b, 0.0)
+        assert relative_gap(folded_m("II", gamma_a, gamma_b, 0.25 * math.pi), type_iv) <= 1e-10
+
+
+def test_types_i_and_ii_approach_type_iii_quadratically():
+    # unequal gammas: at gamma_A = gamma_B the folded M is already on the
+    # face, and the gap is roundoff
+    for gamma_a, gamma_b in face_gammas(7, 20, split=1.0):
+        face = folded_m("III", gamma_a, gamma_b, 1.0)
+        # the largest type I squeeze that has a border state at these gammas
+        lhs = (2.0 * gamma_a**2 - 0.5) * (2.0 * gamma_b**2 - 0.5)
+        shape = 0.5 * math.asinh(math.sqrt(lhs) / (gamma_a + gamma_b))
+        for label in ("I", "II"):
+            coarse, fine = (
+                relative_gap(folded_m(label, gamma_a, gamma_b, f * shape), face)
+                for f in (1e-2, 1e-3)
+            )
+            assert fine <= 1e-5
+            assert 90.0 <= coarse / fine <= 110.0
+
+
 def trace_factors(alpha_sf, m_std, u):
     """P and Q at x = exp(u)."""
     a1, a2, a3, a4 = alpha_sf
@@ -478,9 +543,12 @@ def test_inner_minimize_matches_dense_grid():
     assert matched >= 100 and raised >= 10 and off_bracket >= 20
 
 
-# default gree(): the value, the label, then the per-family minima I, II,
-# III, IV; the first four recorded before the start budget, tmst and
-# symmetric before the shared generator table and invariant residual
+# gree() over all four families: the value, the label, then the per-family
+# minima I, II, III, IV; the first four recorded before the start budget,
+# tmst and symmetric before the shared generator table and invariant
+# residual.  The default search (types I and II) gives the same value and
+# label and the first two minima.
+ALL_FAMILIES = ("I", "II", "III", "IV")
 PINNED = {
     "fig1": (0.7550057071828664, "I",
              (0.7550057071828664, 0.7557400563105754, 0.7557400563105665, 0.7561760786786775)),
@@ -522,11 +590,49 @@ def test_default_gree_matches_pinned_values(name):
     assert abs(res.value - value) <= 1e-12
     assert res.label == label
     per_type = res.diagnostics["per_type"]
-    for family, expected in zip(("I", "II", "III", "IV"), per_family):
+    assert list(per_type) == ["I", "II"]
+    for family, expected in zip(("I", "II"), per_family):
+        assert abs(per_type[family] - expected) <= 1e-12
+    starts = res.diagnostics["starts"]
+    assert list(starts) == ["I", "II"]
+    assert all(1 <= n <= 32 for n in starts.values())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_all_family_gree_matches_pinned_values(name):
+    value, label, per_family = PINNED[name]
+    res = gree(pinned_state(name), families=ALL_FAMILIES)
+    assert abs(res.value - value) <= 1e-12
+    assert res.label == label
+    per_type = res.diagnostics["per_type"]
+    for family, expected in zip(ALL_FAMILIES, per_family):
         assert abs(per_type[family] - expected) <= 1e-12
     starts = res.diagnostics["starts"]
     assert list(starts) == ["I", "II", "III_1", "III_2", "IV"]
     assert all(1 <= n <= 32 for n in starts.values())
+
+
+def inseparable_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        alpha = random_cm(rng, 2)
+        if not is_separable(alpha)[0]:
+            draws.append(alpha)
+    return draws
+
+
+def test_default_search_equals_the_all_family_search():
+    # types III and IV are faces of I and II, and ties go to the first
+    # family in type order, so dropping them changes nothing reported
+    # but the diagnostics
+    states = [pinned_state(name) for name in sorted(PINNED)] + inseparable_draws(41, 20)
+    for alpha in states:
+        default, full = gree(alpha), gree(alpha, families=ALL_FAMILIES)
+        assert default.value == full.value
+        assert default.label == full.label
+        assert default.params == full.params
+        assert default.best_em.tobytes() == full.best_em.tobytes()
 
 
 def test_closed_route_values_and_labels_are_pinned():
@@ -543,7 +649,7 @@ def test_closed_route_values_and_labels_are_pinned():
 
 def test_gree_label_is_stable_under_ties_and_start_counts():
     # all four family minima of the TMSV agree within 5e-16
-    results = [gree(tmsv_cm(0.5), starts=n) for n in (2, 32)]
+    results = [gree(tmsv_cm(0.5), starts=n, families=ALL_FAMILIES) for n in (2, 32)]
     for res in results:
         assert res.label == "I"
         assert res.diagnostics["tied_families"] == ["I", "II", "III", "IV"]
@@ -551,9 +657,24 @@ def test_gree_label_is_stable_under_ties_and_start_counts():
     assert abs(results[0].value - results[1].value) <= 1e-12
 
 
+def test_default_gree_ties_the_two_searched_families():
+    for n in (2, 32):
+        res = gree(tmsv_cm(0.5), starts=n)
+        assert res.label == "I"
+        assert res.diagnostics["tied_families"] == ["I", "II"]
+        assert list(res.diagnostics["starts"]) == ["I", "II"]
+        assert res.value == res.diagnostics["per_type"]["I"]
+
+
 def test_gree_start_budget_is_capped():
-    res = gree(standard_cm(1.2, 0.9, 0.7, 0.6), starts=1)
+    res = gree(standard_cm(1.2, 0.9, 0.7, 0.6), starts=1, families=ALL_FAMILIES)
     assert res.diagnostics["starts"] == {"I": 1, "II": 1, "III_1": 1, "III_2": 1, "IV": 1}
+    assert res.diagnostics["tied_families"] == ["I"]
+
+
+def test_default_gree_start_budget_is_capped():
+    res = gree(standard_cm(1.2, 0.9, 0.7, 0.6), starts=1)
+    assert res.diagnostics["starts"] == {"I": 1, "II": 1}
     assert res.diagnostics["tied_families"] == ["I"]
 
 
@@ -904,7 +1025,7 @@ def test_minimize_follows_the_reference_loop_on_family_objectives(monkeypatch, n
         return plain(fun, x0, *args)
 
     monkeypatch.setattr(gree_module, "minimize", recording)
-    gree(pinned_state(name))
+    gree(pinned_state(name), families=ALL_FAMILIES)
     # each of the five family searches ran at least one simplex
     assert {run[0].args[3:5] for run in runs} == set(FAMILY_SEARCHES)
     for fun, x0, simplex, fatol, xatol, maxiter in runs:
@@ -949,9 +1070,8 @@ def test_multistart_caps_the_starts_at_the_pool(monkeypatch):
     assert nit > 3
 
 
-def test_gree_reports_evaluations_per_family(monkeypatch):
-    # count what the simplex runs evaluate, as a tracer would, and add the
-    # seed pools: 100 points for types I and II, 25 for the others
+def counting_simplex(monkeypatch):
+    """Count what the simplex runs evaluate, as a tracer would."""
     seen = {"calls": 0, "inf": 0}
     plain = gree_module.minimize
 
@@ -964,14 +1084,31 @@ def test_gree_reports_evaluations_per_family(monkeypatch):
         return plain(counted, x0, *args)
 
     monkeypatch.setattr(gree_module, "minimize", counting)
-    res = gree(pinned_state("fig1"))
+    return seen
+
+
+def assert_evaluations(res, seen, pool_sizes):
+    """The per-search objective calls are the seed pool plus what the
+    simplex runs evaluated."""
     evaluations = res.diagnostics["evaluations"]
-    assert list(evaluations) == list(res.diagnostics["starts"])
-    pool_sizes = {"I": 100, "II": 100, "III_1": 25, "III_2": 25, "IV": 25}
+    assert list(evaluations) == list(res.diagnostics["starts"]) == list(pool_sizes)
     assert all(e["calls"] >= pool_sizes[key] for key, e in evaluations.items())
     assert all(0 <= e["inf"] <= e["calls"] for e in evaluations.values())
     assert sum(e["calls"] for e in evaluations.values()) == sum(pool_sizes.values()) + seen["calls"]
     assert sum(e["inf"] for e in evaluations.values()) >= seen["inf"]
+
+
+def test_gree_reports_evaluations_per_family(monkeypatch):
+    # seed pools of 100 points for types I and II, 25 for the others
+    seen = counting_simplex(monkeypatch)
+    res = gree(pinned_state("fig1"), families=ALL_FAMILIES)
+    assert_evaluations(res, seen, {"I": 100, "II": 100, "III_1": 25, "III_2": 25, "IV": 25})
+
+
+def test_default_gree_reports_evaluations_per_family(monkeypatch):
+    seen = counting_simplex(monkeypatch)
+    res = gree(pinned_state("fig1"))
+    assert_evaluations(res, seen, {"I": 100, "II": 100})
 
 
 def test_importing_the_package_leaves_scipy_optimize_and_sparse_out():
