@@ -25,7 +25,10 @@ the touched rows and columns, updates beta_bar and the entropy sum on the
 touched modes only, and builds one DescentState at the end.  The border
 monitor replays the kept transforms through the same kernel, so it sees
 the very iterates the step saw, and asks only for the closed-form PPT
-verdict of gaussian._ppt_verdict, not for the border residual.
+verdict of gaussian._ppt_verdict, not for the border residual.  Every
+verdict descend takes forms sigma on plain floats the same way, so the
+replay compares like with like.  It rebuilds the iterate before a
+transform only when that transform crosses the border.
 """
 
 import math
@@ -270,9 +273,6 @@ class _Walk:
         self.objective = sum(terms) - self.self_entropy
         self.log.append((kind, params, self.objective))
 
-    def sigma_cm(self) -> np.ndarray:
-        return _frame(np.array(self.s_cols).T, np.array(self.bar))
-
     def state(self, base: DescentState) -> DescentState:
         """The DescentState this walk reached from base."""
         if not self.log:
@@ -321,6 +321,20 @@ def _prep_local(walk: _Walk, i: int) -> _Walk:
     return walk
 
 
+def _separable(s_cols: list, bar: list) -> bool:
+    """PPT verdict of the two-mode sigma = S_sigma diag(bar, bar)
+    S_sigma^T, formed on plain floats from S_sigma's columns, one
+    triangle mirrored; descend takes every verdict from here."""
+    c0, c1, c2, c3 = s_cols
+    b0, b1 = bar
+    sigma = [[0.0] * 4 for _ in range(4)]
+    for r in range(4):
+        x0, x1, x2, x3 = c0[r] * b0, c1[r] * b1, c2[r] * b0, c3[r] * b1
+        for c in range(r, 4):
+            sigma[r][c] = sigma[c][r] = x0 * c0[c] + x1 * c1[c] + x2 * c2[c] + x3 * c3[c]
+    return _frame_verdict(sigma)
+
+
 def _pair_couplings(beta: list, i: int, j: int) -> Tuple[float, float, float, float]:
     """(qq/pp symmetric, qq/pp antisymmetric, qp antisymmetric, qp symmetric)."""
     n = len(beta) // 2
@@ -333,13 +347,16 @@ def _pair_couplings(beta: list, i: int, j: int) -> Tuple[float, float, float, fl
 
 
 def _group_pass(walk: _Walk, i: int, j: int, second_kind: bool) -> _Walk:
-    """Local prep + rotation rounds, then the matching two-mode squeeze."""
+    """Local prep + rotation rounds, then the matching two-mode squeeze.
+    The walk arrives with the first round's local prep done: both kinds
+    start from it, so descent_step runs it once."""
     rot_kind = "rotation_qp" if second_kind else "rotation_qq"
     sqz_kind = "squeeze_qp" if second_kind else "squeeze_qq"
     bar = walk.bar
-    for _ in range(INNER_ROUNDS):
-        _prep_local(walk, i)
-        _prep_local(walk, j)
+    for round_ in range(INNER_ROUNDS):
+        if round_:
+            _prep_local(walk, i)
+            _prep_local(walk, j)
         sym_qq, _, asym_qp, _ = _pair_couplings(walk.beta, i, j)
         c = asym_qp if second_kind else sym_qq
         if abs(c) > COUPLING_FLOOR * max(1.0, bar[i] + bar[j]):
@@ -385,6 +402,8 @@ def descent_step(state: DescentState) -> DescentState:
                 best_pair, best_size = (i, j), size
     if best_pair is not None and best_size > 1e-13 * scale:
         i, j = best_pair
+        _prep_local(walk, i)
+        _prep_local(walk, j)
         first = _group_pass(walk.copy(), i, j, second_kind=False)
         second = _group_pass(walk, i, j, second_kind=True)
         chosen = second if second.objective < first.objective else first
@@ -427,7 +446,7 @@ def _bisect_crossing(
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if (_pt_nu_minus(sigma_cm_of(at(mid))) >= 0.5) == was_separable:
+        if (_pt_nu_minus(sigma_cm_of(at(mid)).tolist()) >= 0.5) == was_separable:
             lo = mid
         else:
             hi = mid
@@ -469,11 +488,13 @@ def descend(
         raise ValidationError("border monitoring is defined for two-mode states")
 
     state = initial_state(alpha_rho, sigma0)
-    separable = _frame_verdict(sigma_cm_of(state)) if monitor else False
+    separable = False
+    if monitor:
+        separable = _separable(state.s_sigma.T.tolist(), state.gammas_sigma.tolist())
     aligned = align_gammas(state)
     border: Optional[DescentState] = None
     if monitor:
-        now = _frame_verdict(sigma_cm_of(aligned))
+        now = _separable(aligned.s_sigma.T.tolist(), aligned.gammas_sigma.tolist())
         if now != separable:
             border = _bisect_crossing(state, "align", (), separable)
             marker = ("crossing", (border.objective,), border.objective)
@@ -488,11 +509,15 @@ def descend(
         stepped = descent_step(before)
         if monitor:
             replay = _Walk(before)
-            for kind, params, _ in stepped.step_log[len(before.step_log):]:
-                prev = replay.copy()
+            kept = stepped.step_log[len(before.step_log):]
+            for t, (kind, params, _) in enumerate(kept):
                 replay.transform(kind, params)
-                now = _frame_verdict(replay.sigma_cm())
+                now = _separable(replay.s_cols, replay.bar)
                 if now != separable:
+                    # rebuild the iterate before this transform
+                    prev = _Walk(before)
+                    for kind_k, params_k, _ in kept[:t]:
+                        prev.transform(kind_k, params_k)
                     border = _bisect_crossing(prev.state(before), kind, params, separable)
                     marker = ("crossing", (border.objective,), border.objective)
                     border = border._replace(step_log=border.step_log + (marker,))

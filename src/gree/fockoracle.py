@@ -15,6 +15,12 @@ Squeezes act block by block, self terms read the carried spectrum and
 cross terms push rho back through sigma's squeezes, so no eigensolver
 runs on a built state.  A thermal product holds prod(dims) numbers and a
 two-mode squeezed one its chain blocks, O(d^3) for two modes of d levels.
+The n0 - n1 = +k and -k chains have the same couplings, so a two-mode
+squeeze computes one chain exponential per |n0 - n1| (per length, when
+the two cutoffs differ) and shares it.  Its chain blocks of a thermal
+product are W W^T with W = U sqrt(p), symmetric by construction, and the
+push-back through a two-mode squeeze reads only the diagonals
+diag(U^T B U) that the cross term needs.
 A local squeeze of a two-mode state held over the chains holds the chain
 blocks of its output, O(d^3) numbers read from the input's chain blocks
 in about 4 d^4 flops; its two parity halves, half the dense size, are
@@ -146,10 +152,15 @@ def _diagonal(dims: Tuple[int, ...], kind: str, blocks) -> np.ndarray:
     """Flat diagonal of a state held as blocks over a partition."""
     if kind == "diagonal":
         return blocks
-    diag = np.empty(int(np.prod(dims, dtype=int)))
-    for idx, block in zip(_partition(dims, kind), blocks):
-        diag[idx] = np.real(np.diagonal(block))
-    return diag
+    return _scattered(dims, kind, [b.diagonal() for b in blocks])
+
+
+def _scattered(dims: Tuple[int, ...], kind: str, parts: list) -> np.ndarray:
+    """Flat vector from one part per sector of a partition, each in the
+    sector's basis order: one concatenate and one scatter."""
+    out = np.empty(int(np.prod(dims, dtype=int)))
+    out[_flat(dims, kind)] = np.real(np.concatenate(parts))
+    return out
 
 
 def _state_diagonal(state: FockDensity) -> np.ndarray:
@@ -203,20 +214,37 @@ def _chain_exp(chain: _Chain, r: float) -> np.ndarray:
     return chain.sign * ((chain.vec * (np.cos(rl) + np.sin(rl))) @ chain.vec.T)
 
 
+def _chain_exps(chains: Sequence[_Chain], r: float) -> tuple:
+    """Read-only _chain_exp(chain, r) of each chain, computed once per
+    distinct _Chain object and shared by the sectors holding it."""
+    done = {}
+    for chain in chains:
+        if id(chain) not in done:
+            u = _chain_exp(chain, r)
+            u.flags.writeable = False
+            done[id(chain)] = u
+    return tuple(done[id(chain)] for chain in chains)
+
+
 @lru_cache(maxsize=None)
 def _two_mode_chains(d0: int, d1: int) -> tuple:
     """(flat indices, chain) of each n0 - n1 sector of a d0 x d1 basis,
     indices ordered along the sector's two-mode squeeze chain, whose
-    couplings are sqrt((n0 + 1) (n1 + 1))."""
-    chains = []
+    couplings are sqrt((n0 + 1) (n1 + 1)).  The n0 - n1 = +k and -k chains
+    start at (k, 0) and (0, k), so their couplings agree bit for bit: when
+    their lengths agree too they share one _Chain."""
+    chains, shared = [], {}
     for diff in range(-(d1 - 1), d0):
         n0 = max(diff, 0)
         m0 = max(-diff, 0)
         length = min(d0 - n0, d1 - m0)
         idx = np.arange(length) * (d1 + 1) + n0 * d1 + m0
-        k = np.arange(length - 1)
         idx.flags.writeable = False
-        chains.append((idx, _chain(np.sqrt((n0 + k + 1.0) * (m0 + k + 1.0)))))
+        key = (abs(diff), length)
+        if key not in shared:
+            k = np.arange(length - 1)
+            shared[key] = _chain(np.sqrt((n0 + k + 1.0) * (m0 + k + 1.0)))
+        chains.append((idx, shared[key]))
     return tuple(chains)
 
 
@@ -272,6 +300,14 @@ def _partition(dims: Tuple[int, ...], kind: str) -> tuple:
         idx.flags.writeable = False
         sectors.append(idx)
     return tuple(sectors)
+
+
+@lru_cache(maxsize=None)
+def _flat(dims: Tuple[int, ...], kind: str) -> np.ndarray:
+    """The partition's flat basis indices, sector after sector."""
+    idx = np.concatenate(_partition(dims, kind))
+    idx.flags.writeable = False
+    return idx
 
 
 @lru_cache(maxsize=None)
@@ -352,9 +388,12 @@ def _squeeze(dims: Tuple[int, ...], kind: str, blocks, step: _Squeeze) -> Tuple[
     """(kind, blocks) of U rho U^T for one squeeze step U."""
     if step.kind == "two_mode":
         if kind == "diagonal":
-            chains = _partition(dims, "chains")
-            return "chains", _symmetrized(
-                [(u * blocks[idx]) @ u.T for u, idx in zip(step.parts, chains)])
+            pairs = zip(step.parts, _partition(dims, "chains"))
+            if blocks.min() >= 0.0:
+                # W W^T with W = U sqrt(p): numpy forms it exactly symmetric
+                root = np.sqrt(blocks)
+                return "chains", [w @ w.T for w in (u * root[idx] for u, idx in pairs)]
+            return "chains", _symmetrized([(u * blocks[idx]) @ u.T for u, idx in pairs])
         if kind == "chains":
             return "chains", _symmetrized([u @ b @ u.T for u, b in zip(step.parts, blocks)])
         # parity halves or the whole matrix: each chain's rows, then columns
@@ -480,17 +519,16 @@ def fock_apply_squeeze(
         if len(dims) != 2 or (modes is not None and tuple(modes) != (0, 1)):
             raise ValidationError("two_mode squeeze acts on modes (0, 1)")
         # the generator conserves n0 - n1, so the truncated unitary is a
-        # direct sum of chain exponentials
-        chains = _two_mode_chains(*dims)
-        step = _Squeeze("two_mode", 0, tuple(_chain_exp(ch, float(r)) for _, ch in chains))
+        # direct sum of chain exponentials, one per distinct chain
+        chains = [ch for _, ch in _two_mode_chains(*dims)]
+        step = _Squeeze("two_mode", 0, _chain_exps(chains, float(r)))
         touched = (0, 1)
     elif kind == "local":
         i = 0 if modes is None else int(modes)
         if not 0 <= i < len(dims):
             raise ValidationError("invalid mode index %r" % (modes,))
         # one chain over the mode's even levels and one over its odd ones
-        chains = _local_chains(dims[i])
-        step = _Squeeze("local", i, tuple(_chain_exp(ch, float(r)) for ch in chains))
+        step = _Squeeze("local", i, _chain_exps(_local_chains(dims[i]), float(r)))
         touched = (i,)
     else:
         raise ValidationError("unknown squeeze kind %r" % (kind,))
@@ -551,6 +589,10 @@ def _pushed_back_diagonal(rho: FockDensity, squeezes: tuple) -> np.ndarray:
         blocks = _regroup(dims, kind, blocks, target)
     else:
         blocks = _over(rho, target)
+    if first.kind == "two_mode":
+        # diag(U^T B U) per chain, with no off-diagonal entries formed
+        return _scattered(
+            dims, "chains", [np.einsum("ik,ik->k", u, b @ u) for u, b in zip(first.parts, blocks)])
     return _diagonal(dims, *_squeeze(dims, target, blocks, first.transposed()))
 
 
@@ -613,11 +655,6 @@ def fock_relative_entropy(rho: FockDensity, sigma: FockDensity) -> float:
     return self_term - cross
 
 
-def fock_entropy(state: FockDensity) -> float:
-    """Von Neumann entropy -Tr rho log rho in nats."""
-    return -_self_term(state)
-
-
 def truncate(state: FockDensity, drop: int) -> FockDensity:
     """Remove the top `drop` levels of every mode and renormalize.
 
@@ -653,15 +690,6 @@ def truncate(state: FockDensity, drop: int) -> FockDensity:
     return _built(new_dims, deficit, kind, blocks)
 
 
-def fock_truncation_sensitivity(
-    rho: FockDensity, sigma: FockDensity, drop: int = 5
-) -> float:
-    """|value change| of fock_relative_entropy when all dims shrink by drop."""
-    full = fock_relative_entropy(rho, sigma)
-    small = fock_relative_entropy(truncate(rho, drop), truncate(sigma, drop))
-    return abs(full - small)
-
-
 def fock_schmidt_entropy(r: float, dim: int) -> float:
     """Entanglement entropy of the two-mode squeezed vacuum from its
     Schmidt spectrum lambda_n = tanh(r)^(2n) / cosh(r)^2.
@@ -676,29 +704,3 @@ def fock_schmidt_entropy(r: float, dim: int) -> float:
     lam = t2 ** np.arange(dim) / np.cosh(r) ** 2
     lam = lam[lam > 0]
     return float(-np.sum(lam * np.log(lam)))
-
-
-def fock_covariance(state: FockDensity) -> np.ndarray:
-    """Quadrature second moments 1/2 <{F_j, F_k}> in (q.., p..) order.
-
-    Means are not subtracted (the states in scope are zero-mean), so for
-    a Gaussian input this reproduces its CM.  Each F_k rho is one ladder
-    contraction on a row axis of rho as a dims + dims tensor, and
-    Tr(F_j F_k rho) reads it traced down to F_j's mode.
-    """
-    dims = state.dims
-    n = len(dims)
-    t = state.rho.reshape(dims + dims)
-    ladders = [np.diag(np.sqrt(np.arange(1.0, d)), 1) for d in dims]
-    ops = [(i, (a + a.T) / np.sqrt(2.0)) for i, a in enumerate(ladders)]
-    ops += [(i, 1j * (a.T - a) / np.sqrt(2.0)) for i, a in enumerate(ladders)]
-    g = np.empty((2 * n, 2 * n), dtype=complex)
-    for k, (mode_k, f_k) in enumerate(ops):
-        applied = np.moveaxis(np.tensordot(f_k, t, axes=(1, mode_k)), 0, mode_k)
-        for j, (mode_j, f_j) in enumerate(ops):
-            # F_k rho traced over every mode but mode_j's: rows and columns
-            # share their labels except on that mode
-            cols = [n if m == mode_j else m for m in range(n)]
-            reduced = np.einsum(applied, list(range(n)) + cols, [mode_j, n])
-            g[j, k] = np.sum(f_j * reduced.T)
-    return np.real(0.5 * (g + g.T))

@@ -318,19 +318,27 @@ def _local_invariants(alpha: np.ndarray) -> Tuple[np.ndarray, float, float, floa
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (4, 4):
         raise ValidationError("separability test is defined for two-mode CMs")
-    return _frame_invariants(_check_symmetric(alpha))
+    alpha = _check_symmetric(alpha)
+    return (alpha,) + _row_invariants(alpha.tolist())
 
 
-def _frame_invariants(alpha: np.ndarray) -> Tuple[np.ndarray, float, float, float, float]:
-    """_local_invariants of a 4x4 float CM that is symmetric by
-    construction, such as a symplectic._frame output, with no shape or
-    symmetry check; its leading 3x3 block is still checked."""
-    _check_positive_definite(alpha[:3, :3])
-    a = alpha.tolist()
+def _row_invariants(a: list) -> Tuple[float, float, float, float]:
+    """det A, det B, det C and det alpha of a two-mode CM given as float
+    rows that are symmetric by construction, with no shape or symmetry
+    check.  Its leading 3x3 block is checked by its leading minors, which
+    are all positive exactly when a Cholesky factorisation exists."""
+    minor2 = a[0][0] * a[1][1] - a[0][1] * a[0][1]
+    minor3 = (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[1][2])
+        - a[0][1] * (a[0][1] * a[2][2] - a[1][2] * a[0][2])
+        + a[0][2] * (a[0][1] * a[1][2] - a[1][1] * a[0][2])
+    )
+    if not (a[0][0] > 0.0 and minor2 > 0.0 and minor3 > 0.0):
+        raise ValidationError("CM is not positive definite")
     det_a = a[0][0] * a[2][2] - a[0][2] * a[0][2]
     det_b = a[1][1] * a[3][3] - a[1][3] * a[1][3]
     det_c = a[0][1] * a[2][3] - a[0][3] * a[1][2]
-    return alpha, det_a, det_b, det_c, _det4(a)
+    return det_a, det_b, det_c, _det4(a)
 
 
 def _ppt_verdict(alpha: np.ndarray) -> bool:
@@ -355,40 +363,41 @@ def _ppt_verdict(alpha: np.ndarray) -> bool:
     return _verdict(*_local_invariants(alpha))
 
 
-def _frame_verdict(sigma: np.ndarray) -> bool:
-    """_ppt_verdict of a two-mode CM that is symmetric by construction (a
-    symplectic._frame output), with no symmetry check."""
-    return _verdict(*_frame_invariants(sigma))
+def _frame_verdict(a: list) -> bool:
+    """_ppt_verdict of a two-mode CM given as float rows that are
+    symmetric by construction, with no shape or symmetry check."""
+    return _verdict(a, *_row_invariants(a))
 
 
-def _verdict(
-    alpha: np.ndarray, det_a: float, det_b: float, det_c: float, det_alpha: float
-) -> bool:
-    """_ppt_verdict on the output of _local_invariants."""
+def _verdict(alpha, det_a: float, det_b: float, det_c: float, det_alpha: float) -> bool:
+    """_ppt_verdict on the output of _local_invariants; alpha is the CM as
+    an array or as rows."""
     _check_uncertainty(_nu_minus(alpha, det_alpha, det_a + det_b + 2.0 * det_c, False))
     return _nu_minus(alpha, det_alpha, det_a + det_b - 2.0 * det_c, True) >= 0.5 - PHYSICAL_TOL
 
 
-def _nu_minus(alpha: np.ndarray, det_alpha: float, delta: float, flip: bool) -> float:
+def _nu_minus(alpha, det_alpha: float, delta: float, flip: bool) -> float:
     """Smallest symplectic eigenvalue of the two-mode CM alpha (flip: of its
-    partial transpose) from D = delta and det alpha, as in _ppt_verdict."""
+    partial transpose) from D = delta and det alpha, as in _ppt_verdict;
+    alpha, an array or rows, is read only where the spectrum is
+    (near-)degenerate."""
     if det_alpha <= 0.0:
         raise NumericalGuardError("CM has det alpha = %.12g <= 0" % det_alpha)
     disc = delta * delta - 4.0 * det_alpha
     if disc < CLOSED_FORM_GAP * delta * delta:
-        cm = _partial_transpose(alpha) if flip else alpha
-        return float(_symplectic_spectrum(cm)[-1])
+        cm = np.asarray(alpha, dtype=float)
+        return float(_symplectic_spectrum(_partial_transpose(cm) if flip else cm)[-1])
     if delta <= 0.0:
         raise NumericalGuardError("symplectic spectrum is not a set of +-i nu pairs")
     return math.sqrt(det_alpha / (0.5 * (delta + math.sqrt(disc))))
 
 
-def _pt_nu_minus(sigma: np.ndarray) -> float:
-    """_nu_minus of the partial transpose of a two-mode CM that is symmetric
-    by construction (a symplectic._frame output), with no slack and no
+def _pt_nu_minus(a: list) -> float:
+    """_nu_minus of the partial transpose of a two-mode CM given as float
+    rows that are symmetric by construction, with no slack and no
     uncertainty check."""
-    alpha, det_a, det_b, det_c, det_alpha = _frame_invariants(sigma)
-    return _nu_minus(alpha, det_alpha, det_a + det_b - 2.0 * det_c, True)
+    det_a, det_b, det_c, det_alpha = _row_invariants(a)
+    return _nu_minus(a, det_alpha, det_a + det_b - 2.0 * det_c, True)
 
 
 def _partial_transpose(alpha: np.ndarray) -> np.ndarray:

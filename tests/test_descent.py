@@ -486,6 +486,25 @@ def test_replayed_transforms_reproduce_the_step_bit_for_bit():
             state = stepped
 
 
+def test_walk_verdict_matches_the_ppt_verdict():
+    """The border monitor reads its verdict from the walk's floats; along
+    descents that cross the border it agrees with the verdict on the
+    numpy sigma CM."""
+    rng = np.random.default_rng(41)
+    verdicts = []
+    for _ in range(4):
+        state = align_gammas(initial_state(RHO_NOISY_TMSV, draw_separable_em(rng)))
+        for _ in range(6):
+            stepped = descent_step(state)
+            walk = descent._Walk(state)
+            for kind, params, _ in stepped.step_log[len(state.step_log):]:
+                walk.transform(kind, params)
+                verdicts.append(descent._separable(walk.s_cols, walk.bar))
+                assert verdicts[-1] == _ppt_verdict(sigma_cm_of(walk.state(state)))
+            state = stepped
+    assert any(verdicts) and not all(verdicts)
+
+
 @pytest.mark.parametrize("stop,sigma0_gammas", [("at_rho", (1.1, 1.2)), ("at_border", (1.3, 1.4))])
 def test_step_choices_do_not_follow_roundoff(stop, sigma0_gammas):
     """Pair and cleanup-mode sizes that tie in exact arithmetic pick the

@@ -18,13 +18,10 @@ from gree import (
     bosonic_entropy,
     elementary_transform,
     fock_apply_squeeze,
-    fock_covariance,
-    fock_entropy,
     fock_product,
     fock_relative_entropy,
     fock_schmidt_entropy,
     fock_thermal,
-    fock_truncation_sensitivity,
     mode_populations,
     relative_entropy,
     tmsv_cm,
@@ -33,6 +30,44 @@ from gree import fockoracle
 from gree.fockoracle import _partition, _regroup, _squeeze, truncate
 
 THERMAL_ANCHOR = 0.0849495183976987
+
+
+def fock_entropy(state):
+    """Von Neumann entropy -Tr rho log rho in nats."""
+    return -fockoracle._self_term(state)
+
+
+def fock_truncation_sensitivity(rho, sigma, drop=5):
+    """|value change| of fock_relative_entropy when all dims shrink by drop."""
+    full = fock_relative_entropy(rho, sigma)
+    small = fock_relative_entropy(truncate(rho, drop), truncate(sigma, drop))
+    return abs(full - small)
+
+
+def fock_covariance(state):
+    """Quadrature second moments 1/2 <{F_j, F_k}> in (q.., p..) order.
+
+    Means are not subtracted (the states in scope are zero-mean), so for
+    a Gaussian input this reproduces its CM.  Each F_k rho is one ladder
+    contraction on a row axis of rho as a dims + dims tensor, and
+    Tr(F_j F_k rho) reads it traced down to F_j's mode.
+    """
+    dims = state.dims
+    n = len(dims)
+    t = state.rho.reshape(dims + dims)
+    ladders = [np.diag(np.sqrt(np.arange(1.0, d)), 1) for d in dims]
+    ops = [(i, (a + a.T) / np.sqrt(2.0)) for i, a in enumerate(ladders)]
+    ops += [(i, 1j * (a.T - a) / np.sqrt(2.0)) for i, a in enumerate(ladders)]
+    g = np.empty((2 * n, 2 * n), dtype=complex)
+    for k, (mode_k, f_k) in enumerate(ops):
+        applied = np.moveaxis(np.tensordot(f_k, t, axes=(1, mode_k)), 0, mode_k)
+        for j, (mode_j, f_j) in enumerate(ops):
+            # F_k rho traced over every mode but mode_j's: rows and columns
+            # share their labels except on that mode
+            cols = [n if m == mode_j else m for m in range(n)]
+            reduced = np.einsum(applied, list(range(n)) + cols, [mode_j, n])
+            g[j, k] = np.sum(f_j * reduced.T)
+    return np.real(0.5 * (g + g.T))
 
 
 def test_fock_thermal_populations_are_geometric():
@@ -56,10 +91,15 @@ def test_fock_covariance_thermal():
     )
 
 
-def test_fock_covariance_loads_no_scipy_sparse():
+def test_two_mode_relative_entropy_loads_no_scipy():
     code = (
-        "import sys, gree; gree.fock_covariance(gree.fock_thermal(1.2, 10)); "
-        "print('scipy.sparse' in sys.modules)"
+        "import sys, gree\n"
+        "def pair(g0, g1):\n"
+        "    return gree.fock_product(gree.fock_thermal(g0, 10), gree.fock_thermal(g1, 10))\n"
+        "rho = gree.fock_apply_squeeze(pair(0.6, 0.7), 'two_mode', 0.3)\n"
+        "sigma = gree.fock_apply_squeeze(pair(0.9, 0.8), 'two_mode', 0.2)\n"
+        "assert gree.fock_relative_entropy(rho, sigma) > 0.0\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
     src = str(Path(fockoracle.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -430,3 +470,79 @@ def test_truncate_of_built_state_matches_dense_truncate():
 def test_truncate_rejects_negative_drop():
     with pytest.raises(ValidationError, match="drop"):
         truncate(_pair(0.9, 1.0), -1)
+
+
+# per-chain work of the two-mode squeeze and of the push-back
+
+
+@pytest.mark.parametrize("dims", [(9, 9), (9, 6), (6, 9)])
+def test_mirror_chains_share_one_chain_equal_to_a_fresh_one(dims):
+    d0, d1 = dims
+    diffs = range(-(d1 - 1), d0)
+    chains = dict(zip(diffs, fockoracle._two_mode_chains(*dims)))
+    for diff, (idx, chain) in chains.items():
+        n0, m0 = max(diff, 0), max(-diff, 0)
+        k = np.arange(len(idx) - 1)
+        fresh = fockoracle._chain(np.sqrt((n0 + k + 1.0) * (m0 + k + 1.0)))
+        for got, expect in zip(chain, fresh):
+            np.testing.assert_array_equal(got, expect)
+        if -diff in chains:
+            mirror = chains[-diff][1]
+            assert (mirror is chain) == (len(mirror.lam) == len(chain.lam))
+    distinct = {id(chain) for _, chain in chains.values()}
+    assert len(distinct) == (d0 if d0 == d1 else d0 + d1 - 1)
+
+
+def test_two_mode_squeeze_runs_one_exponential_per_distinct_chain(monkeypatch):
+    calls = []
+    chain_exp = fockoracle._chain_exp
+
+    def counted(chain, r):
+        calls.append(chain)
+        return chain_exp(chain, r)
+
+    monkeypatch.setattr(fockoracle, "_chain_exp", counted)
+    state = fock_apply_squeeze(_pair(0.6, 0.7), "two_mode", 0.3)
+    assert len(calls) == len({id(chain) for chain in calls}) == DIM
+    parts = state._squeezes[-1].parts
+    assert len(parts) == 2 * DIM - 1
+    for k in range(1, DIM):
+        # sectors n0 - n1 = +k and -k hold the same read-only exponential
+        assert parts[DIM - 1 + k] is parts[DIM - 1 - k]
+    assert not any(u.flags.writeable for u in parts)
+
+
+def test_squeezed_thermal_chain_blocks_are_symmetric_by_construction():
+    product = _pair(0.6, 0.7, 12, 9)
+    p = product._blocks
+    state = fock_apply_squeeze(product, "two_mode", 0.3, defect_tol=1.0)
+    assert state._kind == "chains"
+    chains = _partition(state.dims, "chains")
+    for b, u, idx in zip(state._blocks, state._squeezes[-1].parts, chains):
+        np.testing.assert_array_equal(b, b.T)
+        np.testing.assert_allclose(b, u @ np.diag(p[idx]) @ u.T, rtol=0, atol=1e-14)
+
+
+def test_diagonal_with_a_negative_entry_takes_the_symmetrized_product():
+    product = _pair(0.6, 0.7)
+    parts = fock_apply_squeeze(product, "two_mode", 0.3)._squeezes[-1].parts
+    p = product._blocks.copy()
+    p[5] = -1e-18
+    with np.errstate(invalid="raise"):
+        state = fock_apply_squeeze(
+            FockDensity((DIM, DIM), np.diag(p), 0.0), "two_mode", 0.3, defect_tol=1.0)
+    assert state._kind == "chains"
+    for b, u, idx in zip(state._blocks, parts, _partition(state.dims, "chains")):
+        prod = (u * p[idx]) @ u.T
+        np.testing.assert_array_equal(b, 0.5 * (prod + prod.T))
+
+
+@pytest.mark.parametrize("rho_kind", ["chains", "local"])
+def test_pushed_back_diagonal_matches_dense(rho_kind):
+    rho = fock_apply_squeeze(_pair(0.6, 0.7), "two_mode", 0.3)
+    if rho_kind == "local":
+        rho = fock_apply_squeeze(rho, "local", -0.15, 0)
+    sigma = fock_apply_squeeze(_pair(0.9, 0.8), "two_mode", 0.25)
+    u = fockoracle._assemble(sigma.dims, "chains", sigma._squeezes[0].parts)
+    got = fockoracle._pushed_back_diagonal(rho, sigma._squeezes)
+    np.testing.assert_allclose(got, np.diagonal(u.T @ rho.rho @ u), rtol=0, atol=1e-14)

@@ -40,7 +40,7 @@ from gree import (
     von_neumann_entropy,
     williamson,
 )
-from gree.gaussian import _ppt_verdict, bosonic_entropy_sum
+from gree.gaussian import _frame_verdict, _ppt_verdict, bosonic_entropy_sum
 from conftest import eigensolver_ppt_verdict, thermal_cm
 
 LN3 = 1.0986122886681098
@@ -385,5 +385,21 @@ def test_ppt_verdict_errors():
     squeezed_below = passive_dressed_cm((0.45, 0.9), 0.3, 0.2)
     with pytest.raises(ValidationError, match="uncertainty relation"):
         _ppt_verdict(squeezed_below)
+    for indefinite in ([1.0, 1.0, -1.0, 1.0], [1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValidationError, match="not positive definite"):
+            _ppt_verdict(np.diag(indefinite))
     with pytest.raises(NumericalGuardError):
         _ppt_verdict(np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
+def test_frame_verdict_reads_float_rows():
+    """The verdict on float rows, as the descent monitor hands them over,
+    falls back to the eigensolver on a degenerate spectrum like the array
+    verdict does."""
+    alphas = [passive_dressed_cm((g, g * (1.0 + split)), r, 0.3)
+              for g in (0.5, 0.7, 1.2) for split in (0.0, 1e-10) for r in (0.0, 0.02, 1.0)]
+    verdicts = [_frame_verdict(alpha.tolist()) for alpha in alphas]
+    assert verdicts == [eigensolver_ppt_verdict(alpha) for alpha in alphas]
+    assert verdicts == [_ppt_verdict(alpha) for alpha in alphas]
+    with pytest.raises(NumericalGuardError):
+        _frame_verdict(np.diag([1.0, 1.0, 1.0, -1.0]).tolist())
