@@ -38,8 +38,6 @@ from .gaussian import (
     standard_cm,
     standard_form,
     symmetric_cm,
-    symmetric_em,
-    symmetric_gammas,
     tmst_cm,
     tmsv_cm,
     von_neumann_entropy,
@@ -126,8 +124,6 @@ __all__ = [
     "standard_cm",
     "standard_form",
     "symmetric_cm",
-    "symmetric_em",
-    "symmetric_gammas",
     "symplectic_eigenvalues",
     "symplectic_form",
     "tmst_cm",

@@ -51,7 +51,7 @@ SIGMA_FLOOR = 1e-14
 # rho mass allowed on floored/dead sigma directions before declaring
 # divergence; below this the omitted contribution stays ~1e-5 or smaller
 SUPPORT_MASS_TOL = 1e-7
-# default ceiling on the top-two-level population of a squeezed mode
+# ceiling on the top-two-level population of a squeezed mode
 DEFECT_TOL = 1e-3
 
 
@@ -493,7 +493,6 @@ def fock_apply_squeeze(
     kind: str,
     r: float,
     modes: Union[int, Sequence[int], None] = None,
-    defect_tol: float = DEFECT_TOL,
 ) -> FockDensity:
     """Conjugate the state by a truncated squeeze unitary.
 
@@ -508,11 +507,11 @@ def fock_apply_squeeze(
         kind: "two_mode" or "local".
         r: squeeze parameter (|r| <= 1 recommended for truncation quality).
         modes: mode pair for two_mode (must be (0, 1)), index for local.
-        defect_tol: ceiling on the top-two-level mass of each squeezed
-            mode after the transform; exceeding it raises.
 
     Raises:
-        NumericalGuardError: truncation defect above defect_tol.
+        NumericalGuardError: the top-two-level mass of a squeezed mode
+            after the transform (its truncation defect) exceeds
+            DEFECT_TOL.
     """
     dims = state.dims
     if kind == "two_mode":
@@ -547,7 +546,7 @@ def fock_apply_squeeze(
     pops = mode_populations(out)
     for i in touched:
         defect = float(pops[i][-2:].sum())
-        if defect > defect_tol:
+        if defect > DEFECT_TOL:
             raise NumericalGuardError(
                 "truncation defect %.3e on mode %d (raise dims or lower r)"
                 % (defect, i)

@@ -454,54 +454,6 @@ def symmetric_cm(p: SymmetricParams) -> np.ndarray:
     return 0.5 * standard_cm(p.m, p.m, p.kq, p.kp)
 
 
-def symmetric_gammas(p: SymmetricParams) -> Tuple[float, float]:
-    """Symplectic eigenvalues (1/2)sqrt((m +- kq)(m -+ kp))."""
-    ga = 0.5 * np.sqrt((p.m + p.kq) * (p.m - p.kp))
-    gb = 0.5 * np.sqrt((p.m - p.kq) * (p.m + p.kp))
-    return float(ga), float(gb)
-
-
-def symmetric_em(p: SymmetricParams) -> np.ndarray:
-    """Closed-form EM of a symmetric state.
-
-    Uses S_q = (1/sqrt 2)[[s1, s2], [s1, -s2]] with
-    s1 = ((m+kq)/(m-kp))^(1/4), s2 = ((m-kq)/(m+kp))^(1/4) and
-    M = (S^T)^-1 diag(Mtilde) S^-1, whose blocks are _congruence_blocks.
-
-    Args:
-        p: physical symmetric parameters with both gamma_j > 1/2.
-    """
-    if not (p.m > 0 and abs(p.kq) < p.m and abs(p.kp) < p.m):
-        raise ValidationError("symmetric parameters must satisfy m > 0, |k| < m")
-    ga, gb = symmetric_gammas(p)
-    if min(ga, gb) <= 0.5 + PURITY_EPS:
-        raise NumericalGuardError("pure direction: min gamma = %.12g" % min(ga, gb))
-    s1 = ((p.m + p.kq) / (p.m - p.kp)) ** 0.25
-    s2 = ((p.m - p.kq) / (p.m + p.kp)) ** 0.25
-    w = 1.0 / math.sqrt(2.0)
-    mta, mtb = em_spectrum(np.array([ga, gb]))
-    return _qp_block_matrix(*_congruence_blocks(s1 * w, s2 * w, s1 * w, -s2 * w, mta, mtb))
-
-
-def _congruence_blocks(
-    s11: float, s12: float, s21: float, s22: float, mta: float, mtb: float
-) -> Tuple[float, float, float, float, float, float]:
-    """Blocks of S^-T diag(Mtilde) S^-1 for the local pair S = S_q (+) S_q^-T:
-    the q block S_q^-T diag(mta, mtb) S_q^-1 and the p block
-    S_q diag(mta, mtb) S_q^T, each as (upper-left, off-diagonal,
-    lower-right)."""
-    det = s11 * s22 - s12 * s21
-    k11, k12, k21, k22 = s22 / det, -s12 / det, -s21 / det, s11 / det
-    return (
-        k11 * k11 * mta + k21 * k21 * mtb,
-        k11 * k12 * mta + k21 * k22 * mtb,
-        k12 * k12 * mta + k22 * k22 * mtb,
-        s11 * s11 * mta + s12 * s12 * mtb,
-        s11 * s21 * mta + s12 * s22 * mtb,
-        s21 * s21 * mta + s22 * s22 * mtb,
-    )
-
-
 def _qp_block_matrix(
     a1: float, a2: float, a3: float, b1: float, b2: float, b3: float
 ) -> np.ndarray:

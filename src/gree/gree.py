@@ -4,16 +4,16 @@ GREE minimizes S(rho||sigma) over separable Gaussian sigma; the minimum is
 attained on the separable/inseparable border, which for two modes is
 covered by four families of border exponential matrices (types I-IV).
 Types III and IV are faces of types I and II: after strip and fold, type
-III (either kind) is the r -> 0 face of type I and the theta -> 0 face of
-type II, and type IV is type II at theta = pi/4 (see `_family_blocks`).
-So `gree` searches types I and II by default, and types III and IV only
-when `families` names them.  The outer search runs over each family's
-two or three parameters; every candidate is completed by closed-form
+III is the r -> 0 face of type I and the theta -> 0 face of type II, and
+type IV is type II at theta = pi/4 (see `_family_blocks`).  So `gree`
+searches types I and II by default, and types III and IV only when
+`families` names them.  The outer search runs over the two gammas, plus
+the shape of types I and II; every candidate is completed by closed-form
 y-elimination and a 1-D search in the local squeeze x.  Symmetric states
-admit a two-variable objective and two-mode squeezed thermal states take
-it on its diagonal; both are provided as independent routes, which
-`gree` never takes itself.  All three routes run one multistart simplex
-driver (`_multistart`) over a sorted seed pool.
+admit a two-variable objective W, which two-mode squeezed thermal states
+take on its diagonal: two independent routes, which `gree` never takes,
+whose minimizer is a type IV border point.  All three routes run one
+multistart simplex driver (`_multistart`) and end in `_border_result`.
 
 The searches run on plain Python floats: a Nelder-Mead simplex in this
 module (`minimize`, scipy's non-adaptive method step for step) over one
@@ -34,7 +34,7 @@ import math
 from bisect import insort
 from functools import partial
 from itertools import repeat
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, index, itemgetter, mul, sub, truediv
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,6 @@ from .errors import NumericalGuardError, SearchFailureError, ValidationError
 from .gaussian import (
     PURITY_EPS,
     SymmetricParams,
-    _congruence_blocks,
     _qp_block_matrix,
     bosonic_entropy_sum,
     check_physical,
@@ -51,11 +50,10 @@ from .gaussian import (
     cm_to_em,
     em_spectrum,
     em_to_cm,
+    gamma_of_em_spectrum,
     is_separable,
     standard_form,
     symmetric_cm,
-    symmetric_em,
-    symmetric_gammas,
 )
 from .relent import clamp_negative
 
@@ -91,9 +89,8 @@ SEARCH_FATOL = 1e-10
 class BorderParams(NamedTuple):
     """A point in one of the border families.
 
-    shape is r for type I, theta for type II, the kind flag (1.0 or 2.0)
-    for type III and 0.0 for type IV; x_prime is derived for types I/II
-    and fixed at 1.0 otherwise."""
+    shape is r for type I, theta for type II and 0.0 for types III and
+    IV; x_prime is derived for types I/II and fixed at 1.0 otherwise."""
 
     label: str
     gamma_a: float
@@ -199,12 +196,31 @@ def border_x_prime(label: str, gamma_a: float, gamma_b: float, shape: float) -> 
     return x_prime
 
 
+def _congruence_blocks(
+    s11: float, s12: float, s21: float, s22: float, mta: float, mtb: float
+) -> Tuple[float, float, float, float, float, float]:
+    """Blocks of S^-T diag(Mtilde) S^-1 for the local pair S = S_q (+) S_q^-T:
+    the q block S_q^-T diag(mta, mtb) S_q^-1 and the p block
+    S_q diag(mta, mtb) S_q^T, each as (upper-left, off-diagonal,
+    lower-right)."""
+    det = s11 * s22 - s12 * s21
+    k11, k12, k21, k22 = s22 / det, -s12 / det, -s21 / det, s11 / det
+    return (
+        k11 * k11 * mta + k21 * k21 * mtb,
+        k11 * k12 * mta + k21 * k22 * mtb,
+        k12 * k12 * mta + k22 * k22 * mtb,
+        s11 * s11 * mta + s12 * s12 * mtb,
+        s11 * s21 * mta + s12 * s22 * mtb,
+        s21 * s21 * mta + s22 * s22 * mtb,
+    )
+
+
 def _family_blocks(label: str, ga: float, gb: float, shape: float, x_prime: float):
     """The six q and p blocks (a1, a2, a3, b1, b2, b3) of border_em's EM,
     whose q-p cross block vanishes in every family, as floats, or as a
     str the reason the family point has no EM.  The label, a finite
-    shape (a type III kind of 1 or 2) and a positive x_prime for types
-    I/II are the caller's to check.
+    shape and a positive x_prime for types I/II are the caller's to
+    check; types III and IV read neither.
 
     Faces.  Strip and fold read the blocks only through M1^2 = a1 b1,
     M3^2 = a3 b3, y0^4 = a1 a3 / (b1 b3), Ms2^2 = a2^2 / y0^2,
@@ -226,7 +242,7 @@ def _family_blocks(label: str, ga: float, gb: float, shape: float, x_prime: floa
         M1^2 = A^2 + K A B,  M3^2 = B^2 + K A B,
         y0^4 = (K A^2 + A B) / (A B + K B^2),
         Ms2^2 = K A^2 / y0^2,  Ms4^2 = K B^2 y0^2,  Ms2 Ms4 < 0:
-    the folded M of type III, of either kind.  At theta = pi/4,
+    the folded M of type III.  At theta = pi/4,
     c = s, so a1 = a3 and b1 = b3, and the type II point with
     t = (4 K gamma_A gamma_B + gamma_A^2 + gamma_B^2) / (gamma_A gamma_B)
     folds to the type IV point.  So a type III or IV minimum is a limit
@@ -262,21 +278,13 @@ def _family_blocks(label: str, ga: float, gb: float, shape: float, x_prime: floa
                 )
         elif label == "III":
             delta = (ga**2 - 0.25) * (gb**2 - 0.25)
-            if int(shape) == 1:
-                s_q = (
-                    (1.0 + delta / ga**2) ** 0.25,
-                    0.0,
-                    (delta**2 / (ga**2 * (gb**2 + delta))) ** 0.25,
-                    (gb**2 / (gb**2 + delta)) ** 0.25,
-                )
-            else:
-                s_q = (
-                    (ga**2 / (ga**2 + delta)) ** 0.25,
-                    (delta**2 / (gb**2 * (ga**2 + delta))) ** 0.25,
-                    0.0,
-                    (1.0 + delta / gb**2) ** 0.25,
-                )
-            blocks = _congruence_blocks(*s_q, mta, mtb)
+            blocks = _congruence_blocks(
+                (1.0 + delta / ga**2) ** 0.25,
+                0.0,
+                (delta**2 / (ga**2 * (gb**2 + delta))) ** 0.25,
+                (gb**2 / (gb**2 + delta)) ** 0.25,
+                mta, mtb,
+            )
         else:
             s1 = (4.0 * ga**2 * (4.0 * gb**2 + 1.0) / (4.0 * ga**2 + 1.0)) ** 0.25
             s2 = ((4.0 * gb**2 + 1.0) / (4.0 * gb**2 * (4.0 * ga**2 + 1.0))) ** 0.25
@@ -308,8 +316,8 @@ def border_em(params: BorderParams) -> np.ndarray:
 
     Raises:
         ValidationError: an unknown label, a shape that is not finite,
-            a type III kind other than 1 or 2, or a missing x' for types
-            I/II.
+            a type III or IV shape other than 0.0, or a missing x' for
+            types I/II.
         NumericalGuardError: a gamma within PURITY_EPS of 1/2, or a
             parameter that overflows double precision.
     """
@@ -318,10 +326,11 @@ def border_em(params: BorderParams) -> np.ndarray:
         raise ValidationError("unknown border type %r" % (label,))
     if not math.isfinite(shape):
         raise ValidationError("shape parameter must be finite")
-    if label in ("I", "II") and not x_prime > 0:
-        raise ValidationError("x_prime must be precomputed for types I/II")
-    if label == "III" and int(shape) not in (1, 2):
-        raise ValidationError("type III kind must be 1 or 2")
+    if label in ("I", "II"):
+        if not x_prime > 0:
+            raise ValidationError("x_prime must be precomputed for types I/II")
+    elif shape != 0.0:
+        raise ValidationError("types III and IV take shape 0.0, got %r" % (shape,))
     blocks = _family_blocks(label, ga, gb, shape, x_prime)
     if isinstance(blocks, str):
         raise NumericalGuardError(blocks)
@@ -628,20 +637,21 @@ def _infeasible(tally: list) -> float:
 
 def _family_objective(
     tally: list, alpha: Tuple[float, float, float, float], self_term: float,
-    label: str, fixed_shape: Optional[float], v: Tuple[float, ...],
+    label: str, v: Tuple[float, ...],
 ) -> float:
     """The border-search objective of one family, on plain floats.
 
-    v is (u_A, u_B), or (u_A, u_B, shape) when the family has no
-    fixed_shape; the point is gamma = 1/2 + e^u for both modes (|u| <= 30,
-    gap at least PURITY_FLOOR_GAP), and types I/II derive x' (at most
-    X_PRIME_CAP).  Its border EM's blocks are stripped and folded, and
-    the value is S(rho||sigma) = self_term - log c + the inner minimum of
-    (1/2) Tr(alpha M) against rho's standard-form parameters alpha: the
-    composition of border_x_prime, border_em, xy_strip, fold_cross_terms
-    and inner_minimize, with inf where the point is outside the search
-    domain or one of them has no result.  tally counts the calls and the
-    inf values; gree binds all but v with functools.partial.
+    v is (u_A, u_B, shape) for types I and II and (u_A, u_B) for types
+    III and IV, whose shape is 0.0; the point is gamma = 1/2 + e^u for
+    both modes (|u| <= 30, gap at least PURITY_FLOOR_GAP), and types I/II
+    derive x' (at most X_PRIME_CAP).  Its border EM's blocks are stripped
+    and folded, and the value is S(rho||sigma) = self_term - log c + the
+    inner minimum of (1/2) Tr(alpha M) against rho's standard-form
+    parameters alpha: the composition of border_x_prime, border_em,
+    xy_strip, fold_cross_terms and inner_minimize, with inf where the
+    point is outside the search domain or one of them has no result.
+    tally counts the calls and the inf values; gree binds all but v with
+    functools.partial.
     """
     tally[0] += 1
     ua, ub = v[0], v[1]
@@ -651,9 +661,9 @@ def _family_objective(
     if (gap_b if gap_b < gap_a else gap_a) < PURITY_FLOOR_GAP:
         return _infeasible(tally)
     ga, gb = 0.5 + gap_a, 0.5 + gap_b
-    shape = v[2] if fixed_shape is None else fixed_shape
-    x_prime = 1.0
+    shape, x_prime = 0.0, 1.0
     if label == "I" or label == "II":
+        shape = v[2]
         x_prime = _x_prime(label, ga, gb, shape)
         if isinstance(x_prime, str) or x_prime > X_PRIME_CAP:
             return _infeasible(tally)
@@ -713,9 +723,13 @@ def _multistart(
 
 
 def _check_knobs(starts: int) -> None:
-    """Reject a start cap below 1."""
-    if not starts >= 1:
-        raise ValidationError("starts must be at least 1, got %r" % (starts,))
+    """Reject a start cap that is not an integer of at least 1."""
+    try:
+        valid = index(starts) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValidationError("starts must be an integer of at least 1, got %r" % (starts,))
 
 
 def _entry(alpha_rho: np.ndarray) -> Tuple[np.ndarray, Optional[GreeResult]]:
@@ -747,13 +761,12 @@ def gree(
 
     Separable input returns 0 immediately.  Otherwise the state is put in
     standard form and, for each selected family (I, II by default; III
-    kind 1, III kind 2 and IV on request), simplex searches run over
-    (gamma_A, gamma_B) plus the shape variable where present, each
-    candidate completed by the inner x/y minimization.  Types III and IV
-    are faces of types I and II: type III, either kind, is the r -> 0
-    face of type I and the theta -> 0 face of type II, and type IV is
-    type II at theta = pi/4 (derived at `_family_blocks`).  So they never
-    beat I and II by more than roundoff, and the tie rule below gives the
+    and IV on request), simplex searches run over (gamma_A, gamma_B) plus
+    the shape of types I and II, each candidate completed by the inner
+    x/y minimization.  Types III and IV are faces of types I and II: type
+    III is the r -> 0 face of type I and the theta -> 0 face of type II,
+    and type IV is type II at theta = pi/4 (derived at `_family_blocks`).
+    So they never beat I and II by more than roundoff, and the tie rule below gives the
     same result with or without them; name them in `families` for their
     per-type minima.  The starts are the family's seed-grid points (100
     for types I and II, 25 for the others), best first; a family stops once
@@ -766,7 +779,8 @@ def gree(
 
     Args:
         alpha_rho: physical two-mode CM.
-        starts: cap on the simplex starts per family search.
+        starts: cap on the simplex starts per family search, an integer
+            of at least 1.
         families: a sequence of labels to search (default ("I", "II"));
             a bare string is rejected.
 
@@ -774,9 +788,9 @@ def gree(
         GreeResult with the value in nats, the winning family, its
         parameters, the minimizing EM transformed back to the input
         frame, and diagnostics: per-family minima, the tied families,
-        the starts run per family search, the simplex iterations, and
-        per family search the objective calls (seed pool plus simplex)
-        and how many of them returned inf (`evaluations`).
+        the starts run per family, the simplex iterations, and per
+        family the objective calls (seed pool plus simplex) and how many
+        of them returned inf (`evaluations`).
     """
     alpha_rho = np.asarray(alpha_rho, dtype=float)
     if families is None:
@@ -799,48 +813,34 @@ def gree(
     u_grid = [-2.3, -0.7, 0.3, 1.2]
     shape_grid = [0.15, 0.4, 0.8, 1.3]
 
-    family_plan = tuple(
-        (label, shape)
-        for label, shape in
-        (("I", None), ("II", None), ("III", 1.0), ("III", 2.0), ("IV", 0.0))
-        if label in selected
-    )
     per_type: dict = {}
-    found: dict = {}  # family key -> (value, params, inner), in type order
+    found: dict = {}  # label -> (value, params, inner), in type order
     starts_run: dict = {}
     evaluations: dict = {}
     total_iters = 0
 
-    for label, fixed_shape in family_plan:
-        with_shape = fixed_shape is None
-        key = label if label != "III" else "III_%d" % int(fixed_shape)
+    for label in (t for t in _TYPE_ORDER if t in selected):
+        with_shape = label == "I" or label == "II"
         tally = [0, 0]  # objective calls, and how many returned inf
-        fun = partial(_family_objective, tally, alpha_params, self_term, label, fixed_shape)
-        pool = []
-        for ua in u_anchor[:1] + u_grid:
-            for ub in u_anchor[1:] + u_grid:
-                if with_shape:
-                    pool.extend((ua, ub, sh) for sh in shape_grid)
-                else:
-                    pool.append((ua, ub))
-        (best, v), starts_run[key], nit = _multistart(fun, pool, starts, SEARCH_FATOL, 1e-8)
+        fun = partial(_family_objective, tally, alpha_params, self_term, label)
+        tails = [(sh,) for sh in shape_grid] if with_shape else [()]
+        pool = [(ua, ub) + tail for ua in u_anchor[:1] + u_grid
+                for ub in u_anchor[1:] + u_grid for tail in tails]
+        (best, v), starts_run[label], nit = _multistart(fun, pool, starts, SEARCH_FATOL, 1e-8)
         total_iters += nit
-        evaluations[key] = {"calls": tally[0], "inf": tally[1]}
-        per_type[key] = best
+        evaluations[label] = {"calls": tally[0], "inf": tally[1]}
+        per_type[label] = best
         if math.isfinite(best):
             # the best point through the public functions, whose
             # composition is the objective's: its value is `best`
-            shape = v[2] if with_shape else fixed_shape
             ga, gb = 0.5 + math.exp(v[0]), 0.5 + math.exp(v[1])
+            shape = v[2] if with_shape else 0.0
             x_prime = border_x_prime(label, ga, gb, shape) if with_shape else 1.0
             params = BorderParams(label, ga, gb, shape, x_prime)
             m1, ms2, m3, ms4 = xy_strip(border_em(params))
             m2, m4 = fold_cross_terms(ms2, ms4)
-            found[key] = best, params, inner_minimize(alpha_params, (m1, m2, m3, m4))
+            found[label] = best, params, inner_minimize(alpha_params, (m1, m2, m3, m4))
 
-    if "III" in selected:
-        per_type["III"] = min(per_type.pop("III_1"), per_type.pop("III_2"))
-    per_type = {k: per_type[k] for k in _TYPE_ORDER if k in per_type}
     if not found:
         raise SearchFailureError(
             "no feasible border candidate in any family; per-type minima %r"
@@ -848,29 +848,36 @@ def gree(
         )
 
     lowest = min(entry[0] for entry in found.values())
-    tied = [key for key, entry in found.items() if entry[0] <= lowest + TIE_TOL]
+    tied = [label for label, entry in found.items() if entry[0] <= lowest + TIE_TOL]
     value, params, inner = found[tied[0]]
     m1, m2, m3, m4 = inner.m_std
     m_fold = _qp_block_matrix(m1, m2, m3, m1, m4, m3)
     xy = _squeeze_xy(inner.x_opt, inner.y_opt)
     m_best_std = xy @ m_fold @ xy
     best_em = sf.local.T @ m_best_std @ sf.local
+    return _border_result(value, params, best_em, {
+        "per_type": per_type,
+        "tied_families": tied,
+        "starts": starts_run,
+        "iterations": total_iters,
+        "evaluations": evaluations,
+        "rho_type": classify(sf).label,
+    })
+
+
+def _border_result(
+    value: float, params: BorderParams, best_em: np.ndarray, diagnostics: dict
+) -> GreeResult:
+    """The GREE result of an inseparable state whose minimizing border
+    point params has the EM best_em; the route's diagnostics go between
+    `separable` and the border residual of best_em."""
     _, border_residual = is_separable(em_to_cm(best_em))
     return GreeResult(
         value=clamp_negative(value, "GREE"),
         label=params.label,
         params=params,
         best_em=best_em,
-        diagnostics={
-            "separable": False,
-            "per_type": per_type,
-            "tied_families": list(dict.fromkeys(found[key][1].label for key in tied)),
-            "starts": starts_run,
-            "iterations": total_iters,
-            "evaluations": evaluations,
-            "rho_type": classify(sf).label,
-            "border_residual": border_residual,
-        },
+        diagnostics={"separable": False, **diagnostics, "border_residual": border_residual},
     )
 
 
@@ -905,45 +912,30 @@ def _symmetric_w(p: SymmetricParams):
     return w, w_alt
 
 
-def _sigma_from_mtilde(ta: float, tb: float) -> SymmetricParams:
-    """Symmetric border minimizer parameters from the EM eigenvalues."""
-    g_a = _coth(0.5 * ta)
-    g_b = _coth(0.5 * tb)
-    q = math.sqrt((1.0 + g_a**2) / (1.0 + g_b**2))
-    return SymmetricParams(
-        m=(g_a**2 + 1.0) / (2.0 * q),
-        kq=(g_a**2 - 1.0) / (2.0 * q),
-        kp=q * (g_b**2 - 1.0) / 2.0,
-    )
-
-
 def _symmetric_result(
-    gammas_rho: np.ndarray, w_min: float, ta: float, tb: float, diagnostics: dict
+    p: SymmetricParams, gammas_rho: np.ndarray, w_min: float, ta: float, tb: float, diagnostics: dict
 ) -> GreeResult:
-    """The GREE result of a closed route whose minimum w_min of W lies at
-    the EM eigenvalues (ta, tb); the route's diagnostics follow per_type."""
-    sigma = _sigma_from_mtilde(ta, tb)
-    gamma_a, gamma_b = symmetric_gammas(sigma)
+    """The GREE result of a closed route for the state p whose minimum
+    w_min of W lies at the EM eigenvalues (ta, tb).  The minimizer is the
+    type IV border point of gamma = (1/2) coth(Mt/2) under the local
+    squeeze Y(y) that W eliminates in closed form.  The route's
+    diagnostics follow per_type."""
+    gamma_a, gamma_b = (float(g) for g in gamma_of_em_spectrum(np.array([ta, tb])))
+    params = BorderParams("IV", gamma_a, gamma_b, 0.0, 1.0)
+    m_iv = border_em(params)
+    # (1/2) Tr(alpha_rho Y M Y) = (y t_q + t_p / y) / 4 is least at y = sqrt(t_p / t_q)
+    t_q = p.m * (m_iv[0, 0] + m_iv[1, 1]) + 2.0 * p.kq * m_iv[0, 1]
+    t_p = p.m * (m_iv[2, 2] + m_iv[3, 3]) - 2.0 * p.kp * m_iv[2, 3]
+    y = _squeeze_xy(1.0, math.sqrt(t_p / t_q))
     value = clamp_negative(_self_term(gammas_rho) + w_min, "GREE")
-    _, border_residual = is_separable(symmetric_cm(sigma))
-    return GreeResult(
-        value=value,
-        label="IV",
-        params=BorderParams("IV", gamma_a, gamma_b, 0.0, 1.0),
-        best_em=symmetric_em(sigma),
-        diagnostics={
-            "separable": False,
-            "per_type": {"IV": value},
-            **diagnostics,
-            "border_residual": border_residual,
-        },
-    )
+    return _border_result(value, params, y @ m_iv @ y, {"per_type": {"IV": value}, **diagnostics})
 
 
 def gree_symmetric(p: SymmetricParams, starts: int = 8) -> GreeResult:
     """GREE of a symmetric two-mode state by the two-variable border
-    objective in (Mt_A, Mt_B); the minimizer is itself symmetric and
-    needs no x squeeze (x = 1).
+    objective in (Mt_A, Mt_B); the minimizer is the type IV border point
+    under a local squeeze Y(y) common to both modes, and needs no x
+    squeeze (x = 1).
 
     Args:
         p: symmetric-state parameters (m, kq, kp).
@@ -969,7 +961,7 @@ def gree_symmetric(p: SymmetricParams, starts: int = 8) -> GreeResult:
     diagnostics = {"starts": runs, "iterations": iters,
                    "alt_reading_residual": abs(w_alt(best_v) - best_w)}
     ta, tb = math.exp(best_v[0]), math.exp(best_v[1])
-    return _symmetric_result(gammas_rho, best_w, ta, tb, diagnostics)
+    return _symmetric_result(p, gammas_rho, best_w, ta, tb, diagnostics)
 
 
 def gree_tmst(m: float, k: float) -> GreeResult:
@@ -990,4 +982,4 @@ def gree_tmst(m: float, k: float) -> GreeResult:
     grid = [(-6.0 + 0.25 * j,) for j in range(49)]
     (best_w, best_v), _, _ = _multistart(lambda v: w((v[0], v[0])), grid, 1, 1e-12, 1e-10)
     t_opt = math.exp(best_v[0])
-    return _symmetric_result(gammas_rho, best_w, t_opt, t_opt, {"minimizer_mtilde": t_opt})
+    return _symmetric_result(p, gammas_rho, best_w, t_opt, t_opt, {"minimizer_mtilde": t_opt})

@@ -147,8 +147,6 @@ def test_border_constructors_200_random_points():
                 x_prime = border_x_prime("II", gamma_a, gamma_b, shape)
             except NumericalGuardError:
                 continue
-        elif label == "III":
-            shape, x_prime = float(1 + built % 2), 1.0
         else:
             shape, x_prime = 0.0, 1.0
         m = border_em(BorderParams(label, gamma_a, gamma_b, shape, x_prime))

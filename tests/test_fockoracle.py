@@ -325,9 +325,10 @@ def _forbid_parity_halves(monkeypatch):
 @pytest.mark.parametrize("dims", [(10, 7), (7, 10)])
 @pytest.mark.parametrize("mode", [0, 1])
 @pytest.mark.parametrize("s", [0.25, -0.25])
-def test_local_squeeze_over_chains_matches_dense(dims, mode, s):
-    chained = fock_apply_squeeze(_pair(0.6, 0.7, *dims), "two_mode", 0.3, defect_tol=1.0)
-    got = fock_apply_squeeze(chained, "local", s, mode, defect_tol=1.0)
+def test_local_squeeze_over_chains_matches_dense(monkeypatch, dims, mode, s):
+    monkeypatch.setattr(fockoracle, "DEFECT_TOL", 1.0)
+    chained = fock_apply_squeeze(_pair(0.6, 0.7, *dims), "two_mode", 0.3)
+    got = fock_apply_squeeze(chained, "local", s, mode)
     assert got._kind == "parity" and callable(got._held)
     # the dense branch on the input's chain blocks, regrouped to the chains
     dense = _regroup(dims, *_squeeze(dims, "chains", chained._blocks, got._squeezes[-1]), "chains")
@@ -512,10 +513,11 @@ def test_two_mode_squeeze_runs_one_exponential_per_distinct_chain(monkeypatch):
     assert not any(u.flags.writeable for u in parts)
 
 
-def test_squeezed_thermal_chain_blocks_are_symmetric_by_construction():
+def test_squeezed_thermal_chain_blocks_are_symmetric_by_construction(monkeypatch):
+    monkeypatch.setattr(fockoracle, "DEFECT_TOL", 1.0)
     product = _pair(0.6, 0.7, 12, 9)
     p = product._blocks
-    state = fock_apply_squeeze(product, "two_mode", 0.3, defect_tol=1.0)
+    state = fock_apply_squeeze(product, "two_mode", 0.3)
     assert state._kind == "chains"
     chains = _partition(state.dims, "chains")
     for b, u, idx in zip(state._blocks, state._squeezes[-1].parts, chains):
@@ -523,14 +525,15 @@ def test_squeezed_thermal_chain_blocks_are_symmetric_by_construction():
         np.testing.assert_allclose(b, u @ np.diag(p[idx]) @ u.T, rtol=0, atol=1e-14)
 
 
-def test_diagonal_with_a_negative_entry_takes_the_symmetrized_product():
+def test_diagonal_with_a_negative_entry_takes_the_symmetrized_product(monkeypatch):
     product = _pair(0.6, 0.7)
     parts = fock_apply_squeeze(product, "two_mode", 0.3)._squeezes[-1].parts
     p = product._blocks.copy()
     p[5] = -1e-18
+    monkeypatch.setattr(fockoracle, "DEFECT_TOL", 1.0)
     with np.errstate(invalid="raise"):
         state = fock_apply_squeeze(
-            FockDensity((DIM, DIM), np.diag(p), 0.0), "two_mode", 0.3, defect_tol=1.0)
+            FockDensity((DIM, DIM), np.diag(p), 0.0), "two_mode", 0.3)
     assert state._kind == "chains"
     for b, u, idx in zip(state._blocks, parts, _partition(state.dims, "chains")):
         prod = (u * p[idx]) @ u.T

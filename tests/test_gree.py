@@ -96,8 +96,7 @@ BORDER_POINTS = [
     BorderParams("I", 1.2, 0.9, 0.3, border_x_prime("I", 1.2, 0.9, 0.3)),
     BorderParams("I", 0.7, 2.1, -0.25, border_x_prime("I", 0.7, 2.1, -0.25)),
     BorderParams("II", 1.3, 0.8, 0.4, border_x_prime("II", 1.3, 0.8, 0.4)),
-    BorderParams("III", 1.4, 0.9, 1.0, 1.0),
-    BorderParams("III", 1.4, 0.9, 2.0, 1.0),
+    BorderParams("III", 1.4, 0.9, 0.0, 1.0),
     BorderParams("IV", 1.1, 0.8, 0.0, 1.0),
 ]
 
@@ -117,6 +116,15 @@ def test_border_em_sits_on_the_border(params):
 def test_border_em_rejects_near_pure_gammas():
     with pytest.raises(NumericalGuardError):
         border_em(BorderParams("IV", 0.5, 0.9, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("label", ["III", "IV"])
+def test_border_em_rejects_a_face_shape_other_than_zero(label):
+    # types III and IV have one construction each; 2.0 was the flag of a
+    # second type III kind, and must fail rather than build the first
+    for shape in (1.0, 2.0, -0.5):
+        with pytest.raises(ValidationError, match="shape 0.0"):
+            border_em(BorderParams(label, 1.4, 0.9, shape, 1.0))
 
 
 def test_border_functions_report_overflow():
@@ -157,7 +165,7 @@ def stationarity_roots(alpha_sf, m_std):
         ((1.4, 0.6, 1.1, -0.5), BORDER_POINTS[0]),
         ((2.0, 0.9, 0.8, -0.2), BORDER_POINTS[2]),
         ((0.9, 0.25, 1.6, -0.7), BORDER_POINTS[3]),
-        ((1.1, 0.5, 1.1, -0.5), BORDER_POINTS[5]),
+        ((1.1, 0.5, 1.1, -0.5), BORDER_POINTS[4]),
     ],
 )
 def test_inner_minimize_agrees_with_stationarity_roots(alpha_sf, source):
@@ -342,12 +350,17 @@ def test_gree_symmetric_starts_are_a_cap():
     assert 2 <= res.diagnostics["starts"] < 8
     one = gree_symmetric(p, starts=1)
     assert one.diagnostics["starts"] == 1
+    # any integer type is a valid cap
+    assert gree_symmetric(p, starts=np.int64(1)).diagnostics["starts"] == 1
     assert abs(one.value - res.value) <= 1e-12
 
 
+# a whole-valued float such as 2.0 passes starts >= 1, and used to escape
+# as a bare TypeError from slicing the seed pool
 @pytest.mark.parametrize("knobs", [
     {"starts": 0}, {"starts": -3}, {"starts": 0.5}, {"starts": float("nan")},
     {"families": ()}, {"families": ("V",)},
+    {"starts": 2.0}, {"starts": "2"}, {"starts": None},
 ])
 def test_gree_rejects_bad_search_knobs(knobs):
     with pytest.raises(ValidationError):
@@ -357,10 +370,33 @@ def test_gree_rejects_bad_search_knobs(knobs):
         gree(draw_separable_cm(np.random.default_rng(3)), **knobs)
 
 
-@pytest.mark.parametrize("starts", [0, -3])
+@pytest.mark.parametrize("starts", [0, -3, 3.0])
 def test_gree_symmetric_rejects_bad_starts(starts):
     with pytest.raises(ValidationError):
         gree_symmetric(SymmetricParams(2.0, 1.2, 1.0), starts=starts)
+
+
+# kp None: the squeezed thermal route at (m, k = kq)
+@pytest.mark.parametrize("m, kq, kp", [
+    (2.0, 1.2, 1.0), (1.6, 0.9, 0.7), (1.5, 0.9, None), (3.0, 2.8, None),
+])
+def test_closed_route_sigma_attains_the_value(m, kq, kp):
+    if kp is None:
+        res, rho = gree_tmst(m, kq), tmst_cm(m, kq)
+    else:
+        p = SymmetricParams(m, kq, kp)
+        res, rho = gree_symmetric(p), symmetric_cm(p)
+    # sigma* is the type IV border point of the minimizer's gammas under
+    # a common local squeeze Y(y): y times its q block, 1/y times its p block
+    assert res.params.label == "IV" and res.params.shape == 0.0
+    m_iv = border_em(res.params)
+    y = res.best_em[0, 0] / m_iv[0, 0]
+    np.testing.assert_allclose(res.best_em[:2, :2], y * m_iv[:2, :2], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(res.best_em[2:, 2:], m_iv[2:, 2:] / y, rtol=1e-14, atol=0)
+    assert not res.best_em[:2, 2:].any() and not res.best_em[2:, :2].any()
+    attained = relative_entropy(rho, res.best_em, sigma_kind="em").value
+    assert abs(attained - res.value) <= 1e-9
+    assert abs(res.diagnostics["border_residual"]) < 1e-8
 
 
 def test_gree_separable_routes_return_zero():
@@ -439,9 +475,8 @@ def relative_gap(m, reference):
 
 def test_type_iii_kinds_fold_to_the_same_m():
     for gamma_a, gamma_b in face_gammas(5, 40):
-        kind_1 = folded_m("III", gamma_a, gamma_b, 1.0)
-        assert relative_gap(folded_m("III", gamma_a, gamma_b, 2.0), kind_1) <= 1e-13
-        assert relative_gap(type_iii_face(gamma_a, gamma_b), kind_1) <= 1e-13
+        type_iii = folded_m("III", gamma_a, gamma_b, 0.0)
+        assert relative_gap(type_iii_face(gamma_a, gamma_b), type_iii) <= 1e-13
 
 
 def test_type_iv_is_type_ii_at_a_quarter_turn():
@@ -454,7 +489,7 @@ def test_types_i_and_ii_approach_type_iii_quadratically():
     # unequal gammas: at gamma_A = gamma_B the folded M is already on the
     # face, and the gap is roundoff
     for gamma_a, gamma_b in face_gammas(7, 20, split=1.0):
-        face = folded_m("III", gamma_a, gamma_b, 1.0)
+        face = folded_m("III", gamma_a, gamma_b, 0.0)
         # the largest type I squeeze that has a border state at these gammas
         lhs = (2.0 * gamma_a**2 - 0.5) * (2.0 * gamma_b**2 - 0.5)
         shape = 0.5 * math.asinh(math.sqrt(lhs) / (gamma_a + gamma_b))
@@ -608,7 +643,7 @@ def test_all_family_gree_matches_pinned_values(name):
     for family, expected in zip(ALL_FAMILIES, per_family):
         assert abs(per_type[family] - expected) <= 1e-12
     starts = res.diagnostics["starts"]
-    assert list(starts) == ["I", "II", "III_1", "III_2", "IV"]
+    assert list(starts) == ["I", "II", "III", "IV"]
     assert all(1 <= n <= 32 for n in starts.values())
 
 
@@ -668,7 +703,7 @@ def test_default_gree_ties_the_two_searched_families():
 
 def test_gree_start_budget_is_capped():
     res = gree(standard_cm(1.2, 0.9, 0.7, 0.6), starts=1, families=ALL_FAMILIES)
-    assert res.diagnostics["starts"] == {"I": 1, "II": 1, "III_1": 1, "III_2": 1, "IV": 1}
+    assert res.diagnostics["starts"] == {"I": 1, "II": 1, "III": 1, "IV": 1}
     assert res.diagnostics["tied_families"] == ["I"]
 
 
@@ -789,10 +824,6 @@ def closure_objective(alpha_sf, self_term, label, shape, ua, ub):
     return self_term + gree_module._neg_log_c(ga, gb) + inner.half_trace
 
 
-# the five family searches of gree(): label and fixed shape (None: searched)
-FAMILY_SEARCHES = (("I", None), ("II", None), ("III", 1.0), ("III", 2.0), ("IV", 0.0))
-
-
 def objective_terms(name):
     """rho's standard-form parameters and self term, as gree() binds them."""
     cm = pinned_state(name)
@@ -805,15 +836,15 @@ def objective_terms(name):
 def test_family_objective_matches_the_public_composition_bitwise(name):
     alpha_sf, self_term = objective_terms(name)
     rng = np.random.default_rng(sorted(PINNED).index(name))
-    for label, fixed in FAMILY_SEARCHES:
+    for label in ALL_FAMILIES:
         tally = [0, 0]
-        fun = partial(gree_module._family_objective, tally, alpha_sf, self_term, label, fixed)
+        fun = partial(gree_module._family_objective, tally, alpha_sf, self_term, label)
         values = []
         for _ in range(120):
             ua, ub = rng.uniform(-5.0, 3.0, 2)
             shape = rng.uniform(-0.6, 0.6) if label == "I" else rng.uniform(-0.2, 1.8)
-            shape = shape if fixed is None else fixed
-            v = (ua, ub, shape) if fixed is None else (ua, ub)
+            shape = shape if label in ("I", "II") else 0.0
+            v = (ua, ub, shape) if label in ("I", "II") else (ua, ub)
             values.append(fun(v))
             assert values[-1] == closure_objective(alpha_sf, self_term, label, shape, ua, ub)
         assert tally == [120, values.count(math.inf)]
@@ -834,7 +865,7 @@ def test_family_objective_is_inf_for_every_infeasibility_reason():
     ]
     for label, v, message in cases:
         tally = [0, 0]
-        assert gree_module._family_objective(tally, alpha_sf, self_term, label, None, v) == math.inf
+        assert gree_module._family_objective(tally, alpha_sf, self_term, label, v) == math.inf
         assert tally == [1, 1]
         assert closure_objective(alpha_sf, self_term, label, v[-1], v[0], v[1]) == math.inf
         ga, gb = 0.5 + math.exp(v[0]), 0.5 + math.exp(v[1])
@@ -846,7 +877,7 @@ def test_family_objective_is_inf_for_every_infeasibility_reason():
     tally = [0, 0]
     skewed = (alpha_sf[0], 50.0 * alpha_sf[1], alpha_sf[2], alpha_sf[3])
     point = (0.0, 0.2, 0.5)
-    assert gree_module._family_objective(tally, skewed, self_term, "I", None, point) == math.inf
+    assert gree_module._family_objective(tally, skewed, self_term, "I", point) == math.inf
     assert tally == [1, 1]
     assert closure_objective(skewed, self_term, "I", 0.5, 0.0, 0.2) == math.inf
     ga, gb = 0.5 + math.exp(0.0), 0.5 + math.exp(0.2)
@@ -1026,8 +1057,8 @@ def test_minimize_follows_the_reference_loop_on_family_objectives(monkeypatch, n
 
     monkeypatch.setattr(gree_module, "minimize", recording)
     gree(pinned_state(name), families=ALL_FAMILIES)
-    # each of the five family searches ran at least one simplex
-    assert {run[0].args[3:5] for run in runs} == set(FAMILY_SEARCHES)
+    # each of the four family searches ran at least one simplex
+    assert {run[0].args[3] for run in runs} == set(ALL_FAMILIES)
     for fun, x0, simplex, fatol, xatol, maxiter in runs:
         assert_same_simplex_path(fun, x0, simplex, fatol, xatol, maxiter)
 
@@ -1102,7 +1133,7 @@ def test_gree_reports_evaluations_per_family(monkeypatch):
     # seed pools of 100 points for types I and II, 25 for the others
     seen = counting_simplex(monkeypatch)
     res = gree(pinned_state("fig1"), families=ALL_FAMILIES)
-    assert_evaluations(res, seen, {"I": 100, "II": 100, "III_1": 25, "III_2": 25, "IV": 25})
+    assert_evaluations(res, seen, {"I": 100, "II": 100, "III": 25, "IV": 25})
 
 
 def test_default_gree_reports_evaluations_per_family(monkeypatch):
